@@ -35,23 +35,71 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import SizeError
-from .metrics import TOTAL_VARIATION
+from .metrics import HELLINGER, KULLBACK_LEIBLER, TOTAL_VARIATION, DivergenceKind
 from .prob_core import Alphabet, Channel
-from .solver import (
-    ProblemInstance,
-    SolveStatus,
-    _batch_bayes_error,
-    _batch_distortion,
-    _batch_fixed_error,
-    _batch_pushforward,
-    _divergence_batch,
-)
+from .solver import ProblemInstance, SolveStatus
 
 # Hard ceiling on lattice kernels examined by one grid search.
 GRID_KERNEL_CAP = 10_000_000
 # Deterministic-kernel enumeration refuses above this count.
 DETERMINISTIC_CAP = 1_000_000
 _CHUNK = 65536
+
+
+# ---------------------------------------------------------------------------
+# Batch evaluation of lattice kernels
+# ---------------------------------------------------------------------------
+
+
+def _batch_pushforward(kernels: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Apply a batch of kernels (B, ny, nxh) to a mass vector over y."""
+    return np.einsum("byj,y->bj", kernels, weights)
+
+
+def _batch_fixed_error(kernels: np.ndarray, objective_weights: np.ndarray) -> np.ndarray:
+    return np.einsum("byj,yj->b", kernels, objective_weights)
+
+
+def _batch_bayes_error(kernels: np.ndarray, prob: ProblemInstance) -> np.ndarray:
+    q1 = _batch_pushforward(kernels, prob.p_y1)
+    q2 = _batch_pushforward(kernels, prob.p_y2)
+    return np.minimum(prob.source.prior1 * q1, prob.source.prior2 * q2).sum(axis=1)
+
+
+def _batch_distortion(kernels: np.ndarray, distortion_weights: np.ndarray) -> np.ndarray:
+    return np.einsum("byj,yj->b", kernels, distortion_weights)
+
+
+def _divergence_batch(kind: DivergenceKind, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Divergence of each row of ``q`` (B, n) from ``p`` (n,); +inf on support mismatch."""
+    p = np.maximum(p, 0.0)
+    q = np.maximum(q, 0.0)
+    if kind.name == TOTAL_VARIATION:
+        return 0.5 * np.abs(q - p[None, :]).sum(axis=1)
+    support = p > 0.0
+    ps = p[support]
+    qs = q[:, support]
+    if kind.name == KULLBACK_LEIBLER:
+        bad = (qs == 0.0).any(axis=1)
+        safe = np.maximum(qs, 1e-300)
+        vals = np.sum(ps[None, :] * np.log(ps[None, :] / safe), axis=1)
+        vals[bad] = math.inf
+        return vals
+    if kind.name == HELLINGER:
+        return 0.5 * np.sum((np.sqrt(q) - np.sqrt(p)[None, :]) ** 2, axis=1)
+    alpha = kind.alpha
+    if alpha > 1.0:
+        bad = (qs == 0.0).any(axis=1)
+        safe = np.maximum(qs, 1e-300)
+        totals = np.sum(ps[None, :] ** alpha * safe ** (1.0 - alpha), axis=1)
+        vals = np.log(np.maximum(totals, 1e-300)) / (alpha - 1.0)
+        vals[bad] = math.inf
+    else:
+        mask = qs > 0.0
+        terms = np.where(mask, ps[None, :] ** alpha * np.maximum(qs, 1e-300) ** (1.0 - alpha), 0.0)
+        totals = terms.sum(axis=1)
+        vals = np.where(totals > 0.0, np.log(np.maximum(totals, 1e-300)) / (alpha - 1.0), math.inf)
+    return np.maximum(vals, 0.0)
 
 
 @lru_cache(maxsize=64)

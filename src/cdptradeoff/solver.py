@@ -16,11 +16,10 @@ and the perception constraint is convex, so the first program is convex; with
 total variation it is solved exactly as a linear program, and with the smooth
 divergences by bisection on the perception multiplier with conditional-
 gradient (Frank-Wolfe) inner solves, which certifies a duality gap.  The
-Bayes-error objective is concave in K, so the strong program is concave
-minimization: the solver returns the best of exhaustive deterministic-kernel
-enumeration and multi-start linearization descent, and the result is an upper
-bound whose certificate names the winning branch.  Exactness for the strong
-surface is only ever claimed through the independent grid-search oracle.
+Bayes error of Xhat is the smallest error rate over all decision regions, and
+the two minimizations commute, so the strong surface is the fixed-classifier
+program minimized over the 2^|Xhat| regions: exact under total variation and
+certified to a duality gap under the smooth divergences.
 
 Solvers are pure functions of their inputs; sweeps solve every cell from
 scratch so results cannot depend on evaluation order.
@@ -32,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,8 +39,6 @@ from scipy.optimize import brentq, linprog
 from .classify import DecisionRegion, bayes_error, error_rate
 from .errors import DimensionError
 from .metrics import (
-    HELLINGER,
-    KULLBACK_LEIBLER,
     TOTAL_VARIATION,
     DistortionMatrix,
     DivergenceKind,
@@ -61,12 +57,6 @@ GENERAL_GAP_TOL = 1e-6
 LP_GAP_TOL = 1e-8
 # Total conditional-gradient iteration budget per solve.
 ITERATION_BUDGET = 10_000
-# Number of seeded multi-starts for the strong-surface descent.
-SCDP_STARTS = 64
-# Fixed 64-bit seed for the multi-start generator (reproducible runs).
-SCDP_SEED = 0x9E3779B97F4A7C15
-# Deterministic-kernel enumeration is skipped above this count.
-DETERMINISTIC_ENUM_CAP = 1_000_000
 
 # Tight primal feasibility keeps returned kernels within the budget-slack
 # contract; the dual tolerance stays looser because 1e-10 makes the dual
@@ -161,10 +151,13 @@ class ProblemInstance:
 
         The error rate of a kernel K is exactly <W, K>.
         """
-        inside = self.classifier.members
+        return self.region_weights(self.classifier.members)
+
+    def region_weights(self, members: np.ndarray) -> np.ndarray:
+        """W[y, xhat] for the decision region whose indicator over Xhat is ``members``."""
         w_in = self.source.prior2 * self.p_y2
         w_out = self.source.prior1 * self.p_y1
-        return np.where(inside[None, :], w_in[:, None], w_out[:, None])
+        return np.where(members[None, :], w_in[:, None], w_out[:, None])
 
     @cached_property
     def distortion_weights(self) -> np.ndarray:
@@ -214,67 +207,6 @@ class SurfaceTable:
                 if cell.status is not SolveStatus.INFEASIBLE:
                     out[i, j] = cell.value
         return out
-
-
-# ---------------------------------------------------------------------------
-# Shared batch evaluation (also used by the grid-search oracle)
-# ---------------------------------------------------------------------------
-
-
-def _batch_pushforward(kernels: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Apply a batch of kernels (B, ny, nxh) to a mass vector over y."""
-    return np.einsum("byj,y->bj", kernels, weights)
-
-
-def _batch_fixed_error(kernels: np.ndarray, objective_weights: np.ndarray) -> np.ndarray:
-    return np.einsum("byj,yj->b", kernels, objective_weights)
-
-
-def _batch_bayes_error(kernels: np.ndarray, prob: ProblemInstance) -> np.ndarray:
-    q1 = _batch_pushforward(kernels, prob.p_y1)
-    q2 = _batch_pushforward(kernels, prob.p_y2)
-    return np.minimum(prob.source.prior1 * q1, prob.source.prior2 * q2).sum(axis=1)
-
-
-def _batch_distortion(kernels: np.ndarray, distortion_weights: np.ndarray) -> np.ndarray:
-    return np.einsum("byj,yj->b", kernels, distortion_weights)
-
-
-def _batch_perception(kind: DivergenceKind, p: np.ndarray, kernels: np.ndarray, p_y: np.ndarray) -> np.ndarray:
-    q = np.clip(_batch_pushforward(kernels, p_y), 0.0, None)
-    return _divergence_batch(kind, p, q)
-
-
-def _divergence_batch(kind: DivergenceKind, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Divergence of each row of ``q`` (B, n) from ``p`` (n,); +inf on support mismatch."""
-    p = np.maximum(p, 0.0)
-    q = np.maximum(q, 0.0)
-    if kind.name == TOTAL_VARIATION:
-        return 0.5 * np.abs(q - p[None, :]).sum(axis=1)
-    support = p > 0.0
-    ps = p[support]
-    qs = q[:, support]
-    if kind.name == KULLBACK_LEIBLER:
-        bad = (qs == 0.0).any(axis=1)
-        safe = np.maximum(qs, 1e-300)
-        vals = np.sum(ps[None, :] * np.log(ps[None, :] / safe), axis=1)
-        vals[bad] = math.inf
-        return vals
-    if kind.name == HELLINGER:
-        return 0.5 * np.sum((np.sqrt(q) - np.sqrt(p)[None, :]) ** 2, axis=1)
-    alpha = kind.alpha
-    if alpha > 1.0:
-        bad = (qs == 0.0).any(axis=1)
-        safe = np.maximum(qs, 1e-300)
-        totals = np.sum(ps[None, :] ** alpha * safe ** (1.0 - alpha), axis=1)
-        vals = np.log(np.maximum(totals, 1e-300)) / (alpha - 1.0)
-        vals[bad] = math.inf
-    else:
-        mask = qs > 0.0
-        terms = np.where(mask, ps[None, :] ** alpha * np.maximum(qs, 1e-300) ** (1.0 - alpha), 0.0)
-        totals = terms.sum(axis=1)
-        vals = np.where(totals > 0.0, np.log(np.maximum(totals, 1e-300)) / (alpha - 1.0), math.inf)
-    return np.maximum(vals, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -888,182 +820,60 @@ def solve_cdp(prob: ProblemInstance, dist_budget: float, perc_budget: float) -> 
     return _result_from_kernel(prob, outcome.kernel, False, outcome.status, certificate)
 
 
-def _feasibility_anchor(prob: ProblemInstance, dist_budget: float, perc_budget: float):
-    """Shared feasibility probe: None plus a violation label, or a feasible kernel."""
-    dmin = min_distortion(prob)
-    if dist_budget < dmin - 1e-12:
-        return None, "distortion"
-    start = _distortion_feasible_start(prob, dist_budget)
-    if not math.isfinite(perc_budget):
-        return start, None
-    if perc_budget == 0.0 or prob.divergence.name == TOTAL_VARIATION:
-        outcome = _lp_minimize(
-            prob, np.zeros(prob.kernel_shape), dist_budget, perc_budget, pin_marginal=(perc_budget == 0.0)
-        )
-        if outcome.status is SolveStatus.INFEASIBLE:
-            return None, "perception"
-        return outcome.kernel, None
-    ws = _FwWorkspace(prob, dist_budget, ITERATION_BUDGET)
-    anchor, _, violated = _perception_anchor(ws, perc_budget)
-    if anchor is None:
-        return None, violated
-    return anchor, None
-
-
-def _feasible(prob: ProblemInstance, K: np.ndarray, dist_budget: float, perc_budget: float) -> bool:
-    if float(np.sum(prob.distortion_weights * K)) > dist_budget + 1e-12:
-        return False
-    if math.isfinite(perc_budget):
-        phi = _divergence_arrays(prob.divergence, prob.p_x, np.clip(K.T @ prob.p_y, 0.0, None))
-        if phi > perc_budget + 1e-12:
-            return False
-    return True
-
-
-def _toward_feasible(prob: ProblemInstance, K0: np.ndarray, anchor: np.ndarray, dist_budget: float, perc_budget: float) -> np.ndarray:
-    """Pull a kernel toward a feasible anchor until it meets both budgets."""
-    if _feasible(prob, K0, dist_budget, perc_budget):
-        return K0
-    lo, hi = 0.0, 1.0  # blend weight on the anchor
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _feasible(prob, (1.0 - mid) * K0 + mid * anchor, dist_budget, perc_budget):
-            hi = mid
-        else:
-            lo = mid
-    return (1.0 - hi) * K0 + hi * anchor
-
-
-def _deterministic_batches(ny: int, nxh: int, chunk: int = 65536):
-    """Yield all deterministic kernels in (B, ny, nxh) chunks."""
-    rows = np.arange(ny)
-    pending = []
-    for assignment in product(range(nxh), repeat=ny):
-        pending.append(assignment)
-        if len(pending) == chunk:
-            yield _one_hot_batch(np.array(pending, dtype=np.intp), rows, nxh)
-            pending = []
-    if pending:
-        yield _one_hot_batch(np.array(pending, dtype=np.intp), rows, nxh)
-
-
-def _one_hot_batch(assignments: np.ndarray, rows: np.ndarray, nxh: int) -> np.ndarray:
-    batch = np.zeros((assignments.shape[0], rows.size, nxh))
-    batch[np.arange(assignments.shape[0])[:, None], rows[None, :], assignments] = 1.0
-    return batch
-
-
 def solve_scdp(prob: ProblemInstance, dist_budget: float, perc_budget: float) -> TradeoffResult:
     """Strong surface value at one (D, P) point: minimize the Bayes error of Xhat.
 
-    The Bayes error is concave in the kernel, so this is concave minimization
-    over a convex set.  The solver returns the best of (a) exhaustive
-    enumeration of feasible deterministic kernels and (b) multi-start
-    linearization descent (each step minimizes the supporting linear
-    functional with the constrained-linear engine, so iterates stay feasible).
-    The result is an upper bound on the true surface; the certificate names
-    the winning branch, and exactness is only claimed via the grid oracle.
+    The Bayes error is the smallest error rate over all decision regions R of
+    the restoration alphabet, and the two minimizations commute, so
+    C_S(D, P) = min_R C(D, P; R): one fixed-classifier solve per region, with
+    that region's error weights as the cost.  Region index r holds symbol j
+    when bit j of r is set.  Regions are visited in order of their
+    unconstrained bound sum_y min_j W_R[y, j], ties by index; the loop stops
+    once the next bound is not below the best Bayes error found, since no
+    remaining region can beat it.  The certificate's duality gap is the best
+    value minus the smallest lower bound over all regions (a solved region's
+    objective minus its own gap, a skipped region's bound): zero under total
+    variation, and within ``GENERAL_GAP_TOL`` under the smooth divergences
+    unless the status says ``IterationLimit``.
     """
     _validate_budgets(prob, dist_budget, perc_budget)
-    anchor, violated = _feasibility_anchor(prob, dist_budget, perc_budget)
-    if anchor is None:
-        return _infeasible_result(
-            _LinearOutcome(
-                status=SolveStatus.INFEASIBLE,
-                kernel=None,
-                objective=math.nan,
-                iterations=0,
-                gap=math.nan,
-                method="scdp",
-                violated=violated,
-                notes=f"no kernel satisfies the {violated} constraint",
-            ),
-            "strong solve",
-        )
-
-    ny, nxh = prob.kernel_shape
-    best_K = anchor
-    best_val = float(_batch_bayes_error(anchor[None, :, :], prob)[0])
-    branch = "anchor"
-
-    det_count = nxh**ny
-    enumerated = 0
-    if det_count <= DETERMINISTIC_ENUM_CAP:
-        for batch in _deterministic_batches(ny, nxh):
-            enumerated += batch.shape[0]
-            feasible = _batch_distortion(batch, prob.distortion_weights) <= dist_budget + 1e-12
-            if math.isfinite(perc_budget):
-                perc = _batch_perception(prob.divergence, prob.p_x, batch, prob.p_y)
-                feasible &= perc <= perc_budget + 1e-12
-            if not feasible.any():
-                continue
-            kept = batch[feasible]
-            vals = _batch_bayes_error(kept, prob)
-            idx = int(vals.argmin())
-            if vals[idx] < best_val:
-                best_val = float(vals[idx])
-                best_K = kept[idx]
-                branch = "deterministic_enumeration"
-
-    rng = np.random.default_rng(SCDP_SEED)
-    starts = [anchor, best_K]
-    for _ in range(SCDP_STARTS):
-        raw = rng.dirichlet(np.ones(nxh), size=ny)
-        starts.append(_toward_feasible(prob, raw, anchor, dist_budget, perc_budget))
-
-    subproblem_iters = 0
-    descent_won = False
-    # The supporting linear functional depends only on which class attains the
-    # per-symbol minimum, so subproblem solutions are cached by that pattern.
-    subproblem_cache: dict = {}
-
-    def linearized_step(K: np.ndarray):
-        nonlocal subproblem_iters
-        q1 = K.T @ prob.p_y1
-        q2 = K.T @ prob.p_y2
-        pick1 = prob.source.prior1 * q1 <= prob.source.prior2 * q2
-        key = pick1.tobytes()
-        if key not in subproblem_cache:
-            supergrad = np.where(
-                pick1[None, :],
-                prob.source.prior1 * prob.p_y1[:, None],
-                prob.source.prior2 * prob.p_y2[:, None],
-            )
-            outcome = _minimize_linear(prob, supergrad, dist_budget, perc_budget, budget=2000, gap_tol=1e-7)
-            subproblem_iters += outcome.iterations
-            subproblem_cache[key] = outcome.kernel
-        return subproblem_cache[key]
-
-    for start in starts:
-        K = start
-        val = float(_batch_bayes_error(K[None, :, :], prob)[0])
-        for _ in range(30):
-            K_new = linearized_step(K)
-            if K_new is None:
-                break
-            new_val = float(_batch_bayes_error(K_new[None, :, :], prob)[0])
-            if new_val < val - 1e-12:
-                K, val = K_new, new_val
-            else:
-                break
-        if val < best_val:
-            best_val, best_K = val, K
-            descent_won = True
-    if descent_won:
-        branch = "multistart_descent"
-
+    n = prob.restore_alphabet.size
+    count = 2**n
+    regions = (np.arange(count)[:, None] >> np.arange(n)[None, :]) & 1 == 1
+    weights = [prob.region_weights(members) for members in regions]
+    bounds = [float(W.min(axis=1).sum()) for W in weights]
+    best_val, best_K, lower = math.inf, None, math.inf
+    iterations = solved = 0
+    for r in sorted(range(count), key=lambda r: (bounds[r], r)):
+        if bounds[r] >= best_val:
+            lower = min(lower, bounds[r])
+            break
+        outcome = _minimize_linear(prob, weights[r], dist_budget, perc_budget)
+        if outcome.status is SolveStatus.INFEASIBLE:
+            return _infeasible_result(outcome, "strong solve")
+        solved += 1
+        iterations += outcome.iterations
+        # Both values sum per-symbol class masses in one order, so the Bayes
+        # error never rounds above the region's own error rate.
+        q1 = prob.source.prior1 * (outcome.kernel.T @ prob.p_y1)
+        q2 = prob.source.prior2 * (outcome.kernel.T @ prob.p_y2)
+        value = float(np.minimum(q1, q2).sum())
+        lower = min(lower, float(np.where(regions[r], q2, q1).sum()) - outcome.gap)
+        if value < best_val:
+            best_val, best_K = value, outcome.kernel
+    gap = max(best_val - lower, 0.0)
     certificate = {
-        "method": "enumeration+descent",
-        "iterations": subproblem_iters,
-        "duality_gap": None,
+        "method": "regions",
+        "iterations": iterations,
+        "duality_gap": gap,
         "violated": None,
-        "branch": branch,
-        "starts": SCDP_STARTS,
-        "enumerated": enumerated,
-        "upper_bound": True,
-        "notes": "concave minimization; value is an upper bound certified only through the grid oracle",
+        "regions_solved": solved,
+        "regions_pruned": count - solved,
+        "enumerated": count,
+        "notes": "minimum of the fixed-classifier solve over decision regions",
     }
-    return _result_from_kernel(prob, _clean_kernel(best_K), True, SolveStatus.OPTIMAL, certificate)
+    status = SolveStatus.OPTIMAL if gap <= GENERAL_GAP_TOL else SolveStatus.ITERATION_LIMIT
+    return _result_from_kernel(prob, best_K, True, status, certificate)
 
 
 def sweep_surface(

@@ -12,6 +12,7 @@ from cdptradeoff.audit import (
     check_closed_forms,
     check_data_processing,
     check_error_linearity,
+    check_scdp_surface,
     equality_channel,
     random_channel,
     random_mixture,
@@ -67,6 +68,11 @@ class TestSuites:
         assert res.passed
         # 100 random pairs plus 50 equality plus 50 bridging constructions.
         assert res.trials == 200
+
+    def test_strong_surface_monotone_on_regression_key(self):
+        # On this key the strong surface once rose with the budget by 0.0117.
+        res = check_scdp_surface(np.random.default_rng([18, 2, 7]), 4)
+        assert res.passed, res.worst
 
     def test_result_dict_round_trips(self):
         res = check_closed_forms(np.random.default_rng(3), trials=10)
