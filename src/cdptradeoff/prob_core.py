@@ -101,7 +101,7 @@ class ProbVector:
         return f"ProbVector(size={self.alphabet.size}, mass={np.array2string(self.mass, precision=6)})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Channel:
     """A row-stochastic conditional mass function p(out|in).
 
@@ -118,7 +118,20 @@ class Channel:
         expected = (self.input.size, self.output.size)
         if mat.shape != expected:
             raise DimensionError(f"channel matrix: expected shape {expected}, got {mat.shape}")
-        rows = np.stack([_clean_mass(mat[i], self.output.size, f"channel row {i}") for i in range(self.input.size)])
+        # Every row at once, with _clean_mass's checks; C order makes each
+        # row's sum the same pairwise sum _clean_mass takes of a lone row.
+        mat = np.ascontiguousarray(mat)
+        clipped = np.clip(mat, 0.0, None)
+        totals = clipped.sum(axis=1)
+        bad = (
+            ~np.isfinite(mat).all(axis=1)
+            | (mat < -NEGATIVE_TOLERANCE).any(axis=1)
+            | (np.abs(totals - 1.0) > DRIFT_TOLERANCE)
+        )
+        if bad.any():
+            i = int(bad.argmax())
+            _clean_mass(mat[i], self.output.size, f"channel row {i}")  # raises, naming the first bad row
+        rows = clipped / totals[:, None]
         rows.setflags(write=False)
         object.__setattr__(self, "matrix", rows)
 

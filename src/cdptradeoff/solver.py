@@ -21,20 +21,32 @@ the two minimizations commute, so the strong surface is the fixed-classifier
 program minimized over the 2^|Xhat| regions: exact under total variation and
 certified to a duality gap under the smooth divergences.
 
-Solvers are pure functions of their inputs; sweeps solve every cell from
-scratch so results cannot depend on evaluation order.
+Every linear program goes to HiGHS through the bindings scipy bundles
+(``scipy.optimize._highspy._core``), loaded without the rest of
+``scipy.optimize``, with presolve off because the programs are tiny (at most
+72 columns and 26 rows on alphabets of up to 8 symbols) and presolve costs
+more than it saves.  ``scipy.optimize.linprog`` solves the same arrays where
+those bindings are absent (scipy before 1.15).
+
+Solvers are pure functions of their inputs: each LP is built from arrays and
+handed to a fresh HiGHS instance, no model or basis is kept between calls,
+and sweeps solve every cell from scratch so results cannot depend on
+evaluation order.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import pathlib
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, linprog
 
 from .classify import DecisionRegion, bayes_error, error_rate
 from .errors import DimensionError
@@ -57,11 +69,18 @@ GENERAL_GAP_TOL = 1e-6
 LP_GAP_TOL = 1e-8
 # Total conditional-gradient iteration budget per solve.
 ITERATION_BUDGET = 10_000
+# The strong solver skips the remaining decision regions once their bound is
+# within this of the best value: a kernel that attains the degraded Bayes
+# error, the bound of every nontrivial region, can round an ulp or two above
+# it.  The certificate's duality gap reports whatever difference remains.
+REGION_STOP_TOL = 1e-12
 
 # Tight primal feasibility keeps returned kernels within the budget-slack
 # contract; the dual tolerance stays looser because 1e-10 makes the dual
 # simplex stall on near-degenerate costs, and 1e-8 optimality is far inside
-# the certificate budgets.
+# the certificate budgets.  Every solve also turns presolve off: on alphabets
+# of up to 8 symbols the LPs have at most 72 columns and 26 rows, so presolve
+# costs more than it saves.
 _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-8,
@@ -72,16 +91,42 @@ _HIGHS_FALLBACK = {
 }
 
 
-def _run_linprog(c, A_ub, b_ub, A_eq, b_eq, bounds):
-    """HiGHS with the tight tolerances, retried once looser if it stalls."""
-    res = linprog(
-        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs", options=_HIGHS_OPTIONS
-    )
-    if res.status in (0, 2):
-        return res
-    return linprog(
-        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs", options=_HIGHS_FALLBACK
-    )
+def _load_highs():
+    """scipy's bundled HiGHS bindings, or None where this scipy has none (before 1.15).
+
+    Importing ``scipy.optimize._highspy._core`` by name first imports all of
+    ``scipy.optimize``, which on scipy 1.17 is about 550 modules and 48 MB of
+    resident memory that no LP solve uses.  So the extension is loaded from
+    its file under that same name, where a later import of ``scipy.optimize``
+    finds and reuses it.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = pathlib.Path(importlib.util.find_spec("scipy").origin).parent / "optimize" / "_highspy"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_core{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(name, path)
+            try:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+            except ImportError:
+                return None
+            sys.modules[name] = module
+            return module
+    return None
+
+
+_highspy = _load_highs()
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use: only scipy without
+    the HiGHS bindings solves LPs through it."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 class SolveStatus(Enum):
@@ -174,9 +219,12 @@ class ProblemInstance:
         return self.restore_alphabet.size == self.source.alphabet.size
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TradeoffResult:
-    """Outcome of one (D, P) query: value, optimizing kernel, achieved budgets."""
+    """Outcome of one (D, P) query: value, optimizing kernel, achieved budgets.
+
+    Slotted, like ``Channel``, because sweeps keep one result per cell.
+    """
 
     value: float
     kernel: Optional[Channel]
@@ -250,91 +298,180 @@ def _clean_kernel(raw: np.ndarray) -> np.ndarray:
     return arr / arr.sum(axis=1, keepdims=True)
 
 
-def _lp_minimize(
-    prob: ProblemInstance,
-    cost: np.ndarray,
-    dist_budget: float,
-    perc_budget: float,
-    pin_marginal: bool,
-) -> _LinearOutcome:
-    """Exact LP path: total-variation budgets (via slack variables), pinned
-    marginals (perception budget zero), or no perception constraint at all."""
+class _LpModel(NamedTuple):
+    """One linear program in HiGHS's column-wise form.
+
+    Minimize ``c @ x`` subject to ``row_lower <= A @ x <= row_upper`` and
+    ``col_lower <= x <= col_upper``, where column ``i`` of ``A`` holds the
+    values ``value[start[i]:start[i + 1]]`` in the rows
+    ``index[start[i]:start[i + 1]]``.
+    """
+
+    c: np.ndarray
+    col_lower: np.ndarray
+    col_upper: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+
+
+def _lp_model(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, perc_budget: float) -> _LpModel:
+    """Write the total-variation-form LP straight into column-wise arrays.
+
+    Columns are the kernel entries K[y, j] in row-major order, then, when P is
+    finite, one slack s_j per restored symbol.  Rows come in the order
+    ``linprog`` stacks inequalities before equalities: the distortion row
+    <G, K> <= D when D is finite; when P is finite, the slack rows
+    (K^T p_Y)_j - s_j <= p_X[j] and -(K^T p_Y)_j - s_j <= -p_X[j] per symbol
+    and the total-variation row 0.5 * sum_j s_j <= P; and last the stochastic
+    rows sum_j K[y, j] = 1.  At P = 0 the total-variation row pins the
+    restored marginal to p_X, the only point where any supported divergence
+    vanishes.
+    """
     ny, nxh = prob.kernel_shape
     nk = ny * nxh
-    use_tv = prob.divergence.name == TOTAL_VARIATION and math.isfinite(perc_budget) and not pin_marginal
-    ncols = nk + (nxh if use_tv else 0)
+    has_d, has_p = math.isfinite(dist_budget), math.isfinite(perc_budget)
+    slack_row = int(has_d)
+    total_row = slack_row + 2 * nxh
+    stochastic_row = total_row + 1 if has_p else slack_row
+    n_cols = nk + (nxh if has_p else 0)
 
-    c = np.zeros(ncols)
+    # One padded line of (row, value) entries per column, rows ascending:
+    # a kernel column meets the distortion row, the two slack rows of its
+    # symbol and its stochastic row, so its slack entries sit at position
+    # slack_row; a slack column meets its two slack rows and the total row.
+    # Zeros, padding included, are dropped below.
+    index = np.zeros((n_cols, has_d + 2 * has_p + 1), dtype=np.int32)
+    value = np.zeros(index.shape)
+    y, j = np.divmod(np.arange(nk), nxh)
+    if has_d:
+        value[:nk, 0] = prob.distortion_weights.ravel()
+    if has_p:
+        pos = slack_row + 2 * j
+        index[:nk, slack_row] = pos
+        index[:nk, slack_row + 1] = pos + 1
+        value[:nk, slack_row] = prob.p_y[y]
+        value[:nk, slack_row + 1] = -value[:nk, slack_row]
+        index[nk:, 0] = np.arange(slack_row, total_row, 2)
+        index[nk:, 1] = index[nk:, 0] + 1
+        index[nk:, 2] = total_row
+        value[nk:, :3] = (-1.0, -1.0, 0.5)
+    index[:nk, -1] = stochastic_row + y
+    value[:nk, -1] = 1.0
+    keep = value != 0.0
+    start = np.zeros(n_cols + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=start[1:])
+
+    row_lower = np.full(stochastic_row + ny, -np.inf)
+    row_upper = np.empty(stochastic_row + ny)
+    if has_d:
+        row_upper[0] = dist_budget
+    if has_p:
+        row_upper[slack_row:total_row:2] = prob.p_x
+        row_upper[slack_row + 1 : total_row : 2] = -prob.p_x
+        row_upper[total_row] = perc_budget
+    row_lower[stochastic_row:] = row_upper[stochastic_row:] = 1.0
+    c = np.zeros(n_cols)
     c[:nk] = cost.ravel()
+    col_upper = np.full(n_cols, 2.0)
+    col_upper[:nk] = 1.0
+    return _LpModel(c, np.zeros(n_cols), col_upper, row_lower, row_upper, start, index[keep], value[keep])
 
-    eq_rows, eq_rhs = [], []
-    for y in range(ny):
-        row = np.zeros(ncols)
-        row[y * nxh : (y + 1) * nxh] = 1.0
-        eq_rows.append(row)
-        eq_rhs.append(1.0)
-    if pin_marginal:
-        for j in range(nxh):
-            row = np.zeros(ncols)
-            row[j:nk:nxh] = prob.p_y
-            eq_rows.append(row)
-            eq_rhs.append(prob.p_x[j])
 
-    ub_rows, ub_rhs = [], []
-    if math.isfinite(dist_budget):
-        row = np.zeros(ncols)
-        row[:nk] = prob.distortion_weights.ravel()
-        ub_rows.append(row)
-        ub_rhs.append(dist_budget)
-    if use_tv:
-        for j in range(nxh):
-            pos = np.zeros(ncols)
-            pos[j:nk:nxh] = prob.p_y
-            pos[nk + j] = -1.0
-            ub_rows.append(pos)
-            ub_rhs.append(prob.p_x[j])
-            neg = np.zeros(ncols)
-            neg[j:nk:nxh] = -prob.p_y
-            neg[nk + j] = -1.0
-            ub_rows.append(neg)
-            ub_rhs.append(-prob.p_x[j])
-        total = np.zeros(ncols)
-        total[nk:] = 0.5
-        ub_rows.append(total)
-        ub_rhs.append(perc_budget)
+def _highs_run(model: _LpModel, tolerances: dict) -> tuple:
+    """Solve on a fresh HiGHS instance: (status, x or None, simplex iterations)."""
+    lp = _highspy.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(model.c)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(model.row_lower)
+    lp.a_matrix_.format_ = _highspy.MatrixFormat.kColwise
+    # The bindings copy Python lists into HiGHS's vectors faster than arrays.
+    lp.a_matrix_.start_ = model.start.tolist()
+    lp.a_matrix_.index_ = model.index.tolist()
+    lp.a_matrix_.value_ = model.value.tolist()
+    lp.col_cost_ = model.c.tolist()
+    lp.col_lower_ = model.col_lower.tolist()
+    lp.col_upper_ = model.col_upper.tolist()
+    lp.row_lower_ = model.row_lower.tolist()
+    lp.row_upper_ = model.row_upper.tolist()
+    highs = _highspy._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("presolve", "off")
+    for name, val in tolerances.items():
+        highs.setOptionValue(name, val)
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    iterations = max(int(highs.getInfoValue("simplex_iteration_count")[1]), 0)
+    if status == _highspy.HighsModelStatus.kOptimal:
+        return "optimal", np.array(highs.getSolution().col_value), iterations
+    if status == _highspy.HighsModelStatus.kInfeasible:
+        return "infeasible", None, iterations
+    return highs.modelStatusToString(status), None, iterations
 
-    res = _run_linprog(
-        c,
-        A_ub=np.array(ub_rows) if ub_rows else None,
-        b_ub=np.array(ub_rhs) if ub_rhs else None,
-        A_eq=np.array(eq_rows),
-        b_eq=np.array(eq_rhs),
-        bounds=[(0.0, 1.0)] * nk + [(0.0, 2.0)] * (ncols - nk),
+
+def _linprog_run(model: _LpModel, tolerances: dict) -> tuple:
+    """The same solve through ``scipy.optimize.linprog``, for scipy without the bindings."""
+    A = np.zeros((len(model.row_lower), len(model.c)))
+    A[model.index, np.repeat(np.arange(len(model.c)), np.diff(model.start))] = model.value
+    eq = model.row_lower == model.row_upper
+    res = linprog(
+        model.c,
+        A_ub=A[~eq],
+        b_ub=model.row_upper[~eq],
+        A_eq=A[eq],
+        b_eq=model.row_upper[eq],
+        bounds=np.column_stack((model.col_lower, model.col_upper)),
+        method="highs",
+        options={**tolerances, "presolve": False},
     )
     if res.status == 0:
-        kernel = _clean_kernel(res.x[:nk].reshape(ny, nxh))
+        return "optimal", res.x, int(res.nit)
+    if res.status == 2:
+        return "infeasible", None, int(res.nit)
+    return res.message, None, int(res.nit)
+
+
+def _solve_lp(model: _LpModel) -> tuple:
+    """(x, or None when infeasible; simplex iterations), retried once looser if HiGHS stalls."""
+    run = _highs_run if _highspy is not None else _linprog_run
+    iterations = 0
+    for tolerances in (_HIGHS_OPTIONS, _HIGHS_FALLBACK):
+        status, x, nit = run(model, tolerances)
+        iterations += nit
+        if status in ("optimal", "infeasible"):
+            return x, iterations
+    raise RuntimeError(f"linear program failed unexpectedly ({status})")
+
+
+def _lp_minimize(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, perc_budget: float) -> _LinearOutcome:
+    """Exact LP path: total-variation budgets, zero perception budgets, or no
+    perception constraint at all."""
+    x, iterations = _solve_lp(_lp_model(prob, cost, dist_budget, perc_budget))
+    if x is not None:
+        ny, nxh = prob.kernel_shape
+        kernel = _clean_kernel(x[: ny * nxh].reshape(ny, nxh))
         return _LinearOutcome(
             status=SolveStatus.OPTIMAL,
             kernel=kernel,
             objective=float(np.sum(kernel * cost)),
-            iterations=int(res.nit),
+            iterations=iterations,
             gap=0.0,
             method="lp",
             notes="vertex solution from the simplex/HiGHS path",
         )
-    if res.status == 2:
-        # Distortion feasibility was pre-checked; the perception side is to blame.
-        return _LinearOutcome(
-            status=SolveStatus.INFEASIBLE,
-            kernel=None,
-            objective=math.nan,
-            iterations=int(res.nit),
-            gap=math.nan,
-            method="lp",
-            violated="perception",
-            notes="no kernel meets the perception budget jointly with the distortion budget",
-        )
-    raise RuntimeError(f"linear program failed unexpectedly (status {res.status}: {res.message})")
+    # Distortion feasibility was pre-checked; the perception side is to blame.
+    return _LinearOutcome(
+        status=SolveStatus.INFEASIBLE,
+        kernel=None,
+        objective=math.nan,
+        iterations=iterations,
+        gap=math.nan,
+        method="lp",
+        violated="perception",
+        notes="no kernel meets the perception budget jointly with the distortion budget",
+    )
 
 
 def _distortion_feasible_start(prob: ProblemInstance, dist_budget: float) -> np.ndarray:
@@ -571,6 +708,8 @@ def _general_minimize(
     feasible side of the bisection plus exact root-found blends across the
     constraint boundary.
     """
+    from scipy.optimize import brentq
+
     ws = _FwWorkspace(prob, dist_budget, budget)
     kind = prob.divergence
     p_x, p_y = prob.p_x, prob.p_y
@@ -730,14 +869,10 @@ def _minimize_linear(
             method="vertex",
             notes="unconstrained: per-output-symbol minimization",
         )
-    if no_perception:
-        return _lp_minimize(prob, cost, dist_budget, math.inf, pin_marginal=False)
-    if perc_budget == 0.0:
-        # Every supported divergence vanishes only at equality, so a zero
-        # budget pins the restored marginal to the source marginal exactly.
-        return _lp_minimize(prob, cost, dist_budget, 0.0, pin_marginal=True)
-    if prob.divergence.name == TOTAL_VARIATION:
-        return _lp_minimize(prob, cost, dist_budget, perc_budget, pin_marginal=False)
+    # Every supported divergence vanishes only at p_Xhat = p_X, so a zero
+    # budget is the total-variation LP with its budget at zero.
+    if no_perception or perc_budget == 0.0 or prob.divergence.name == TOTAL_VARIATION:
+        return _lp_minimize(prob, cost, dist_budget, perc_budget)
     return _general_minimize(prob, cost, dist_budget, perc_budget, budget, gap_tol)
 
 
@@ -829,12 +964,13 @@ def solve_scdp(prob: ProblemInstance, dist_budget: float, perc_budget: float) ->
     that region's error weights as the cost.  Region index r holds symbol j
     when bit j of r is set.  Regions are visited in order of their
     unconstrained bound sum_y min_j W_R[y, j], ties by index; the loop stops
-    once the next bound is not below the best Bayes error found, since no
-    remaining region can beat it.  The certificate's duality gap is the best
-    value minus the smallest lower bound over all regions (a solved region's
-    objective minus its own gap, a skipped region's bound): zero under total
-    variation, and within ``GENERAL_GAP_TOL`` under the smooth divergences
-    unless the status says ``IterationLimit``.
+    once the next bound is within ``REGION_STOP_TOL`` of the best Bayes error
+    found, since no remaining region can beat it by more.  The certificate's
+    duality gap is the best value minus the smallest lower bound over all
+    regions (a solved region's objective minus its own gap, a skipped
+    region's bound): at most ``REGION_STOP_TOL`` under total variation, and
+    within ``GENERAL_GAP_TOL`` under the smooth divergences unless the status
+    says ``IterationLimit``.
     """
     _validate_budgets(prob, dist_budget, perc_budget)
     n = prob.restore_alphabet.size
@@ -845,7 +981,7 @@ def solve_scdp(prob: ProblemInstance, dist_budget: float, perc_budget: float) ->
     best_val, best_K, lower = math.inf, None, math.inf
     iterations = solved = 0
     for r in sorted(range(count), key=lambda r: (bounds[r], r)):
-        if bounds[r] >= best_val:
+        if bounds[r] >= best_val - REGION_STOP_TOL:
             lower = min(lower, bounds[r])
             break
         outcome = _minimize_linear(prob, weights[r], dist_budget, perc_budget)

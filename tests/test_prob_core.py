@@ -18,6 +18,7 @@ from cdptradeoff import (
     mix_mixtures,
     push_forward,
 )
+from cdptradeoff.prob_core import DRIFT_TOLERANCE, _clean_mass
 
 
 def mass_strategy(n):
@@ -108,6 +109,52 @@ class TestChannel:
     def test_from_rows_validates_each_row(self):
         with pytest.raises(InvalidDistributionError):
             Channel.from_rows([[0.5, 0.5], [0.9, 0.2]])
+
+    @staticmethod
+    def rows_one_by_one(mat):
+        """The row-by-row validation Channel's vectorized checks must reproduce."""
+        return np.stack([_clean_mass(mat[i], mat.shape[1], f"channel row {i}") for i in range(mat.shape[0])])
+
+    @staticmethod
+    def stochastic(rng, m, n):
+        """Random stochastic rows with zero entries, clipped dust and drift within tolerance."""
+        mat = rng.dirichlet(np.full(n, rng.choice([0.2, 1.0, 5.0])), size=m)
+        mat[rng.random(mat.shape) < 0.25] = 0.0
+        mat[mat.sum(axis=1) == 0.0, 0] = 1.0
+        mat /= mat.sum(axis=1, keepdims=True)
+        mat[(mat == 0.0) & (rng.random(mat.shape) < 0.3)] = -5e-13
+        return mat * (1.0 + rng.uniform(-0.9, 0.9, size=(m, 1)) * DRIFT_TOLERANCE)
+
+    def test_vectorized_validation_matches_row_by_row(self, rng):
+        for _ in range(300):
+            m, n = (int(k) for k in rng.integers(1, 12, size=2))
+            mat = self.stochastic(rng, m, n)
+            if rng.random() < 0.3:
+                mat = np.asfortranarray(mat)
+            got = Channel(Alphabet(m), Alphabet(n), mat).matrix
+            assert got.tobytes() == self.rows_one_by_one(mat).tobytes()
+
+    def test_vectorized_validation_names_the_first_bad_row(self, rng):
+        defects = (
+            lambda row: np.r_[np.nan, row[1:]],
+            lambda row: np.r_[row[:-1], np.inf],
+            lambda row: np.r_[-1e-6, row[1:]],
+            lambda row: row * (1.0 + 10.0 * DRIFT_TOLERANCE),
+        )
+        for defect in defects:
+            for _ in range(10):
+                m, n = (int(k) for k in rng.integers(2, 9, size=2))
+                mat = self.stochastic(rng, m, n)
+                first = int(rng.integers(0, m - 1))
+                mat[first] = defect(mat[first])
+                mat[m - 1] = defects[int(rng.integers(len(defects)))](mat[m - 1])
+                with pytest.raises(InvalidDistributionError) as want:
+                    self.rows_one_by_one(mat)
+                with pytest.raises(InvalidDistributionError) as got:
+                    Channel(Alphabet(m), Alphabet(n), mat)
+                assert type(got.value) is type(want.value)
+                assert str(got.value) == str(want.value)
+                assert f"channel row {first}:" in str(got.value)
 
     def test_row_returns_prob_vector(self):
         ch = Channel.from_rows([[0.25, 0.75], [1.0, 0.0]])

@@ -1,6 +1,10 @@
 """Tradeoff solvers: routing, feasibility, budgets, and hand-derivable anchors."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import product
 
@@ -32,12 +36,20 @@ from cdptradeoff import (
     solve_scdp,
     sweep_surface,
 )
+from cdptradeoff import solver
+from cdptradeoff.solver import BUDGET_SLACK
 
 TV = DivergenceKind.total_variation()
 KL = DivergenceKind.kullback_leibler()
 
 D_GRID = (0.1, 0.15, 0.2, 0.25, 0.3, 0.35)
 P_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+
+
+def cell_bytes(result):
+    """The bytes of a cell's value, achieved budgets and kernel."""
+    kernel = b"" if result.kernel is None else result.kernel.matrix.tobytes()
+    return np.array([result.value, result.achieved_distortion, result.achieved_perception]).tobytes() + kernel
 
 
 def small_instance(rng, n=None, kind=TV):
@@ -192,6 +204,12 @@ class TestSolveCdp:
         assert a.value == b.value
         assert_allclose(a.kernel.matrix, b.kernel.matrix, atol=0.0)
 
+    def test_results_are_slotted(self, canonical_problem):
+        # Sweeps keep one result per cell, so results and kernels carry no
+        # per-instance __dict__.
+        r = solve_cdp(canonical_problem(), 0.2, 0.3)
+        assert not hasattr(r, "__dict__") and not hasattr(r.kernel, "__dict__")
+
     def test_certificate_carries_diagnostics(self, canonical_problem):
         r = solve_cdp(canonical_problem(), 0.2, 0.3)
         for key in ("method", "iterations", "duality_gap", "violated", "notes"):
@@ -287,6 +305,23 @@ class TestSolveScdp:
             if strong.ok:
                 assert strong.value == pytest.approx(min(r.value for r in fixed), abs=1e-12)
 
+    def test_stops_once_the_bound_is_within_rounding_of_the_best_value(self, monkeypatch):
+        # The best kernel attains the degraded Bayes error, which is the bound
+        # of every nontrivial region, but its own Bayes error rounds 5.6e-17
+        # above it.  An exact comparison solves all 2^3 - 2 nontrivial regions.
+        src = MixtureSource.from_masses(0.4, 0.6, np.array([2, 7, 9]) / 18, np.array([1, 6, 1]) / 8)
+        deg = Channel.from_rows([np.array([3, 2, 5]) / 10, np.array([1, 4, 2]) / 7, np.array([4, 3, 6]) / 13])
+        cls = DecisionRegion.from_indices(src.alphabet, [0])
+        prob = ProblemInstance(src, deg, src.alphabet, DistortionMatrix.hamming(src.alphabet), TV, cls)
+        r = solve_scdp(prob, 0.91, 0.02)
+        monkeypatch.setattr(solver, "REGION_STOP_TOL", 0.0)
+        exhaustive = solve_scdp(prob, 0.91, 0.02)
+        assert exhaustive.certificate["regions_solved"] == 2**3 - 2
+        assert r.certificate["regions_solved"] < exhaustive.certificate["regions_solved"]
+        assert r.status is SolveStatus.OPTIMAL
+        assert abs(r.value - exhaustive.value) <= 1e-12
+        assert 0.0 <= r.certificate["duality_gap"] <= 1e-12
+
 
 class TestSweepSurface:
     def test_singleton_grid_matches_point_solve(self, canonical_problem):
@@ -327,6 +362,100 @@ class TestSweepSurface:
         scdp = sweep_surface(prob, D_GRID, P_GRID, "scdp").value_matrix()
         mask = ~(np.isnan(cdp) | np.isnan(scdp))
         assert (scdp[mask] <= cdp[mask] + 1e-8).all()
+
+    @pytest.mark.parametrize("which", ["cdp", "scdp"])
+    def test_independent_of_evaluation_order(self, which, rng):
+        # Every cell is a pure function of (instance, D, P): no model, basis or
+        # warm start outlives a call, so any order gives the same bytes.
+        solve = solve_cdp if which == "cdp" else solve_scdp
+        for n in (3, 4):
+            prob = small_instance(rng, n)
+            dmin = min_distortion(prob)
+            d_grid = (0.5 * dmin, dmin, dmin + 0.05, dmin + 0.2, math.inf)
+            p_grid = (0.0, 0.02, 0.1, 0.3, math.inf)
+            table = sweep_surface(prob, d_grid, p_grid, which)
+            cells = [(i, j) for i in range(len(d_grid)) for j in range(len(p_grid))]
+            shuffled = list(cells)
+            rng.shuffle(shuffled)
+            for order in (cells[::-1], shuffled):
+                again = {(i, j): solve(prob, d_grid[i], p_grid[j]) for i, j in order}
+                for i, j in cells:
+                    assert cell_bytes(again[i, j]) == cell_bytes(table.cells[i][j]), (n, i, j)
+
+
+class TestLpPaths:
+    """Without scipy's HiGHS bindings the same LP arrays go through ``linprog``."""
+
+    @staticmethod
+    def cells(rng):
+        out = []
+        for t in range(24):
+            n = int(rng.integers(2, 5))
+            prob = small_instance(rng, n)
+            if t % 3 == 1:  # degradation onto a larger alphabet: a rectangular kernel
+                m = n + int(rng.integers(1, 3))
+                prob = replace(prob, degrade=Channel.from_rows(rng.dirichlet(np.ones(m), size=n)))
+            dmin = min_distortion(prob)
+            d_grid = (0.5 * dmin, dmin, dmin + float(rng.uniform(0.01, 0.3)), math.inf)
+            p_grid = (0.0, float(rng.uniform(0.005, 0.03)), math.inf)
+            out += [(prob, D, P) for D in d_grid for P in p_grid]
+        # A restoration alphabet of another size leaves perception undefined.
+        src = MixtureSource.from_masses(0.3, 0.7, rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3)))
+        restore = Alphabet(4)
+        delta = DistortionMatrix(src.alphabet, restore, rng.uniform(0.0, 1.0, size=(3, 4)))
+        cls = DecisionRegion.from_indices(restore, [0, 2])
+        prob = ProblemInstance(src, Channel.from_rows(rng.dirichlet(np.ones(3), size=3)), restore, delta, TV, cls)
+        out += [(prob, D, math.inf) for D in (min_distortion(prob), min_distortion(prob) + 0.1)]
+        return out
+
+    @pytest.mark.skipif(solver._highspy is None, reason="this scipy has no HiGHS bindings")
+    def test_lp_solves_leave_scipy_optimize_unimported(self):
+        # The bindings are loaded on their own: an LP solve needs none of the
+        # ~550 modules (48 MB) a scipy.optimize import brings in.
+        code = (
+            "import math, sys\n"
+            "from cdptradeoff import Channel, DecisionRegion, DistortionMatrix, DivergenceKind, MixtureSource\n"
+            "from cdptradeoff import ProblemInstance, solve_cdp, solve_scdp\n"
+            "src = MixtureSource.from_masses(0.5, 0.5, [0.8, 0.2], [0.2, 0.8])\n"
+            "prob = ProblemInstance(src, Channel.bsc(0.1), src.alphabet, DistortionMatrix.hamming(src.alphabet),\n"
+            "                       DivergenceKind.kullback_leibler(), DecisionRegion.from_indices(src.alphabet, [0]))\n"
+            "assert solve_cdp(prob, 0.3, 0.0).ok and solve_scdp(prob, 0.3, 0.0).ok and solve_cdp(prob, 0.2, math.inf).ok\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize') and not m.startswith('scipy.optimize._highspy')))\n"
+        )
+        src_dir = str(pathlib.Path(solver.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_linprog_path_agrees_with_direct_highs(self, rng, monkeypatch):
+        cells = self.cells(rng)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        linprog = solver.linprog
+        monkeypatch.setattr(solver, "linprog", counted)
+        direct = [(solve_cdp(*c), solve_scdp(*c)) for c in cells]
+        assert not calls
+        monkeypatch.setattr(solver, "_highspy", None)
+        fallback = [(solve_cdp(*c), solve_scdp(*c)) for c in cells]
+        assert calls
+        violated = set()
+        for (prob, D, P), pair_a, pair_b in zip(cells, direct, fallback):
+            for a, b in zip(pair_a, pair_b):
+                assert a.status is b.status
+                assert a.certificate["violated"] == b.certificate["violated"]
+                violated.add(a.certificate["violated"])
+                if not a.ok:
+                    continue
+                assert abs(a.value - b.value) <= 1e-12
+                for r in (a, b):
+                    assert r.achieved_distortion <= D + BUDGET_SLACK
+                    if math.isfinite(P):
+                        assert r.achieved_perception <= P + BUDGET_SLACK
+        assert violated == {None, "distortion", "perception"}
 
 
 class TestRandomizedKernelProperties:
