@@ -12,21 +12,21 @@ perception budget P:
   Bayes error of Xhat, i.e. the classifier adapts to the restored signal.
 
 The fixed-classifier objective and the distortion constraint are linear in K
-and the perception constraint is convex, so the first program is convex; with
-total variation it is solved exactly as a linear program, and with the smooth
-divergences by bisection on the perception multiplier with conditional-
-gradient (Frank-Wolfe) inner solves, which certifies a duality gap.  The
-Bayes error of Xhat is the smallest error rate over all decision regions, and
-the two minimizations commute, so the strong surface is the fixed-classifier
-program minimized over the 2^|Xhat| regions: exact under total variation and
+and the perception constraint is convex in p_Xhat = K^T p_Y, so every solve
+is one linear program over row-stochastic kernels: exact under total
+variation and at P = 0 or inf, and under the smooth divergences the LP plus
+tangent cuts of the divergence, certified to a duality gap.  The Bayes error
+of Xhat is the smallest error rate over all decision regions, and the two
+minimizations commute, so the strong surface is the fixed-classifier program
+minimized over the 2^|Xhat| regions: exact under total variation and
 certified to a duality gap under the smooth divergences.
 
 Every linear program goes to HiGHS through the bindings scipy bundles
 (``scipy.optimize._highspy._core``), loaded without the rest of
-``scipy.optimize``, with presolve off because the programs are tiny (at most
-72 columns and 26 rows on alphabets of up to 8 symbols) and presolve costs
-more than it saves.  ``scipy.optimize.linprog`` solves the same arrays where
-those bindings are absent (scipy before 1.15).
+``scipy.optimize``, with presolve off because the programs are tiny
+(without cuts, at most 72 columns and 26 rows on alphabets of up to 8
+symbols) and presolve costs more than it saves.  ``scipy.optimize.linprog``
+solves the same arrays where those bindings are absent (scipy before 1.15).
 
 Solvers are pure functions of their inputs: each LP is built from arrays and
 handed to a fresh HiGHS instance, no model or basis is kept between calls,
@@ -43,7 +43,7 @@ import pathlib
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -65,10 +65,9 @@ from .prob_core import Alphabet, Channel, MixtureSource, push_forward
 BUDGET_SLACK = 1e-8
 # Target duality gap for the iterative (smooth-divergence) path.
 GENERAL_GAP_TOL = 1e-6
-# Linear programs are solved to this optimality gap.
-LP_GAP_TOL = 1e-8
-# Total conditional-gradient iteration budget per solve.
-ITERATION_BUDGET = 10_000
+# Most LP rounds of one smooth-divergence solve, in each of its two phases
+# (finding an anchor, then closing the gap).
+CUT_ROUNDS = 200
 # The strong solver skips the remaining decision regions once their bound is
 # within this of the best value: a kernel that attains the degraded Bayes
 # error, the bound of every nontrivial region, can round an ulp or two above
@@ -79,8 +78,10 @@ REGION_STOP_TOL = 1e-12
 # contract; the dual tolerance stays looser because 1e-10 makes the dual
 # simplex stall on near-degenerate costs, and 1e-8 optimality is far inside
 # the certificate budgets.  Every solve also turns presolve off: on alphabets
-# of up to 8 symbols the LPs have at most 72 columns and 26 rows, so presolve
-# costs more than it saves.
+# of up to 8 symbols the LPs without cuts have at most 72 columns and 26
+# rows, so presolve costs more than it saves.  The retry uses the interior
+# point solver (with crossover), because on some LPs with many steep cut rows
+# the dual simplex ends outside its primal tolerance at any setting.
 _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-8,
@@ -89,6 +90,11 @@ _HIGHS_FALLBACK = {
     "primal_feasibility_tolerance": 1e-9,
     "dual_feasibility_tolerance": 1e-7,
 }
+# The largest slope entry a tangent cut may have, and the pulls of its point
+# toward uniform tried, in order, until its slopes are that small (see
+# _tangent_cut).
+_CUT_SLOPE_CAP = 1e6
+_CUT_PULLS = (0.0, *np.geomspace(1e-12, 0.5, 24))
 
 
 def _load_highs():
@@ -266,12 +272,12 @@ class SurfaceTable:
 class _LinearOutcome:
     status: SolveStatus
     kernel: Optional[np.ndarray]
-    objective: float
     iterations: int
     gap: float
     method: str
     violated: Optional[str] = None
     notes: str = ""
+    details: dict = field(default_factory=dict)
 
 
 def min_distortion(prob: ProblemInstance) -> float:
@@ -317,33 +323,44 @@ class _LpModel(NamedTuple):
     value: np.ndarray
 
 
-def _lp_model(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, perc_budget: float) -> _LpModel:
-    """Write the total-variation-form LP straight into column-wise arrays.
+def _lp_model(
+    prob: ProblemInstance,
+    cost: np.ndarray,
+    dist_budget: float,
+    perc_budget: float,
+    cuts: Optional[tuple] = None,
+) -> _LpModel:
+    """Write the one LP over restoration kernels straight into column-wise arrays.
 
-    Columns are the kernel entries K[y, j] in row-major order, then, when P is
-    finite, one slack s_j per restored symbol.  Rows come in the order
-    ``linprog`` stacks inequalities before equalities: the distortion row
-    <G, K> <= D when D is finite; when P is finite, the slack rows
-    (K^T p_Y)_j - s_j <= p_X[j] and -(K^T p_Y)_j - s_j <= -p_X[j] per symbol
-    and the total-variation row 0.5 * sum_j s_j <= P; and last the stochastic
-    rows sum_j K[y, j] = 1.  At P = 0 the total-variation row pins the
-    restored marginal to p_X, the only point where any supported divergence
-    vanishes.
+    Columns: the kernel entries K[y, j] in row-major order, then one slack s_j
+    per restored symbol when P is finite and there are no cuts, or the
+    epigraph column t in [0, P] when there are.  Rows, inequalities first as
+    ``linprog`` stacks them: <G, K> <= D when D is finite; either the slack
+    rows (K^T p_Y)_j - s_j <= p_X[j], -(K^T p_Y)_j - s_j <= -p_X[j] and the
+    total-variation row 0.5 * sum_j s_j <= P, or one row g_i . K^T p_Y - t <= h_i
+    per cut of ``cuts = (g, h)``, divided by max(1, max |g_i|) to keep steep
+    cuts scaled; then the stochastic rows sum_j K[y, j] = 1.  At P = 0 the
+    total-variation row pins the restored marginal to p_X, the only point
+    where any supported divergence vanishes.  ``cost`` may hold one entry
+    more, the epigraph column's.
     """
     ny, nxh = prob.kernel_shape
     nk = ny * nxh
-    has_d, has_p = math.isfinite(dist_budget), math.isfinite(perc_budget)
+    m = 0 if cuts is None else len(cuts[1])
+    has_d, has_p = math.isfinite(dist_budget), math.isfinite(perc_budget) and not m
     slack_row = int(has_d)
     total_row = slack_row + 2 * nxh
-    stochastic_row = total_row + 1 if has_p else slack_row
-    n_cols = nk + (nxh if has_p else 0)
+    cut_row = total_row + 1 if has_p else slack_row
+    stochastic_row = cut_row + m
+    n_cols = nk + (nxh if has_p else 0) + (m > 0)
 
     # One padded line of (row, value) entries per column, rows ascending:
     # a kernel column meets the distortion row, the two slack rows of its
-    # symbol and its stochastic row, so its slack entries sit at position
-    # slack_row; a slack column meets its two slack rows and the total row.
+    # symbol or every cut row, and its stochastic row, so its slack or cut
+    # entries start at position slack_row; a slack column meets its two
+    # slack rows and the total row; the epigraph column meets every cut row.
     # Zeros, padding included, are dropped below.
-    index = np.zeros((n_cols, has_d + 2 * has_p + 1), dtype=np.int32)
+    index = np.zeros((n_cols, has_d + 2 * has_p + m + 1), dtype=np.int32)
     value = np.zeros(index.shape)
     y, j = np.divmod(np.arange(nk), nxh)
     if has_d:
@@ -358,6 +375,12 @@ def _lp_model(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, perc_
         index[nk:, 1] = index[nk:, 0] + 1
         index[nk:, 2] = total_row
         value[nk:, :3] = (-1.0, -1.0, 0.5)
+    if m:
+        slopes, offsets = cuts
+        scale = np.maximum(np.abs(slopes).max(axis=1), 1.0)
+        index[:nk, slack_row : slack_row + m] = index[nk, :m] = np.arange(cut_row, stochastic_row)
+        value[:nk, slack_row : slack_row + m] = prob.p_y[y, None] * (slopes / scale[:, None]).T[j]
+        value[nk, :m] = -1.0 / scale
     index[:nk, -1] = stochastic_row + y
     value[:nk, -1] = 1.0
     keep = value != 0.0
@@ -374,13 +397,16 @@ def _lp_model(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, perc_
         row_upper[total_row] = perc_budget
     row_lower[stochastic_row:] = row_upper[stochastic_row:] = 1.0
     c = np.zeros(n_cols)
-    c[:nk] = cost.ravel()
+    c[: cost.size] = cost.ravel()
     col_upper = np.full(n_cols, 2.0)
     col_upper[:nk] = 1.0
+    if m:
+        row_upper[cut_row:stochastic_row] = offsets / scale
+        col_upper[nk] = perc_budget
     return _LpModel(c, np.zeros(n_cols), col_upper, row_lower, row_upper, start, index[keep], value[keep])
 
 
-def _highs_run(model: _LpModel, tolerances: dict) -> tuple:
+def _highs_run(model: _LpModel, tolerances: dict, ipm: bool) -> tuple:
     """Solve on a fresh HiGHS instance: (status, x or None, simplex iterations)."""
     lp = _highspy.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = len(model.c)
@@ -398,6 +424,8 @@ def _highs_run(model: _LpModel, tolerances: dict) -> tuple:
     highs = _highspy._Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("presolve", "off")
+    if ipm:
+        highs.setOptionValue("solver", "ipm")
     for name, val in tolerances.items():
         highs.setOptionValue(name, val)
     highs.passModel(lp)
@@ -411,7 +439,7 @@ def _highs_run(model: _LpModel, tolerances: dict) -> tuple:
     return highs.modelStatusToString(status), None, iterations
 
 
-def _linprog_run(model: _LpModel, tolerances: dict) -> tuple:
+def _linprog_run(model: _LpModel, tolerances: dict, ipm: bool) -> tuple:
     """The same solve through ``scipy.optimize.linprog``, for scipy without the bindings."""
     A = np.zeros((len(model.row_lower), len(model.c)))
     A[model.index, np.repeat(np.arange(len(model.c)), np.diff(model.start))] = model.value
@@ -423,7 +451,7 @@ def _linprog_run(model: _LpModel, tolerances: dict) -> tuple:
         A_eq=A[eq],
         b_eq=model.row_upper[eq],
         bounds=np.column_stack((model.col_lower, model.col_upper)),
-        method="highs",
+        method="highs-ipm" if ipm else "highs",
         options={**tolerances, "presolve": False},
     )
     if res.status == 0:
@@ -434,11 +462,12 @@ def _linprog_run(model: _LpModel, tolerances: dict) -> tuple:
 
 
 def _solve_lp(model: _LpModel) -> tuple:
-    """(x, or None when infeasible; simplex iterations), retried once looser if HiGHS stalls."""
+    """(x, or None when infeasible; simplex iterations), retried once looser,
+    by interior point, if the simplex stalls."""
     run = _highs_run if _highspy is not None else _linprog_run
     iterations = 0
-    for tolerances in (_HIGHS_OPTIONS, _HIGHS_FALLBACK):
-        status, x, nit = run(model, tolerances)
+    for tolerances, ipm in ((_HIGHS_OPTIONS, False), (_HIGHS_FALLBACK, True)):
+        status, x, nit = run(model, tolerances, ipm)
         iterations += nit
         if status in ("optimal", "infeasible"):
             return x, iterations
@@ -455,7 +484,6 @@ def _lp_minimize(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, pe
         return _LinearOutcome(
             status=SolveStatus.OPTIMAL,
             kernel=kernel,
-            objective=float(np.sum(kernel * cost)),
             iterations=iterations,
             gap=0.0,
             method="lp",
@@ -465,7 +493,6 @@ def _lp_minimize(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, pe
     return _LinearOutcome(
         status=SolveStatus.INFEASIBLE,
         kernel=None,
-        objective=math.nan,
         iterations=iterations,
         gap=math.nan,
         method="lp",
@@ -474,383 +501,150 @@ def _lp_minimize(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, pe
     )
 
 
-def _distortion_feasible_start(prob: ProblemInstance, dist_budget: float) -> np.ndarray:
-    """A kernel meeting the distortion budget with the widest support we can get.
+def _tangent_cut(prob: ProblemInstance, q: np.ndarray) -> tuple:
+    """Slope g and offset h of the cut g . q' - t <= h from a tangent of d(p_X, .) near q.
 
-    Used to seed the iterative path, so divergences that blow up on support
-    mismatch start finite whenever that is structurally possible.
+    A tangent of the convex divergence is valid wherever it is taken.  KL and
+    Renyi slopes reach 1e300 as q_j -> 0, so q is pulled toward uniform, where
+    no slope exceeds |Xhat|, until no slope exceeds ``_CUT_SLOPE_CAP``.
+    """
+    kind, p = prob.divergence, prob.p_x
+    support = p > 0.0
+    # Points with p_j / point_j above this would overflow (p_j / point_j) ** alpha.
+    ratio = 1e300 ** (1.0 / max(kind.alpha or 1.0, 1.0))
+    for pull in _CUT_PULLS:
+        point = (1.0 - pull) * q + pull / q.size
+        if np.all(point[support] * ratio >= p[support]):
+            slope = _divergence_gradient(kind, p, point)
+            if np.abs(slope).max() <= _CUT_SLOPE_CAP:
+                break
+    else:
+        point = np.full_like(q, 1.0 / q.size)
+        slope = _divergence_gradient(kind, p, point)
+    return slope, float(slope @ point) - _divergence_arrays(kind, p, point)
+
+
+def _cut_minimize(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, perc_budget: float) -> _LinearOutcome:
+    """Smooth divergences, 0 < P < inf: the one LP plus tangent cuts of the divergence.
+
+    The divergence depends on K only through q = K^T p_Y, and a tangent cut
+    g . q - t <= g . q_k - d(q_k), with t in [0, P], holds on every feasible
+    kernel, so each LP's value is a certified lower bound.  An anchor kernel
+    inside the budget gives upper bounds: the segment from the LP kernel to it
+    crosses the budget at a feasible kernel.  Each round cuts at both kernels
+    (Kelley's cutting planes, Veinott's supporting hyperplanes) until the
+    bounds are within ``GENERAL_GAP_TOL``.  The anchor is the P = 0 LP's
+    kernel, whose marginal is p_X, where D allows it; otherwise epigraph
+    rounds minimize t until a kernel's divergence is below the midpoint of the
+    cuts' bound and P.  An infeasible epigraph LP certifies that no kernel
+    meets both budgets; so does, at the minimum distortion, a divergence that
+    is infinite on the widest support left.
     """
     ny, nxh = prob.kernel_shape
-    uniform = np.full((ny, nxh), 1.0 / nxh)
-    if not math.isfinite(dist_budget):
-        return uniform
-    G = prob.distortion_weights
-    d_uniform = float(np.sum(G * uniform))
-    if d_uniform <= dist_budget:
-        return uniform
-    row_min = G.min(axis=1, keepdims=True)
-    ties = G <= row_min + 1e-15
-    face = ties / ties.sum(axis=1, keepdims=True)
-    d_face = float(np.sum(G * face))
-    if d_face > dist_budget:
-        vertex = _argmin_rows(G)
-        d_vertex = float(np.sum(G * vertex))
-        if d_vertex > dist_budget:
-            return vertex  # caller already verified dist_budget >= min distortion
-        face, d_face = vertex, d_vertex
-    span = d_uniform - d_face
-    if span <= 0:
-        return face
-    eta = 0.999 * (dist_budget - d_face) / span
-    eta = min(max(eta, 0.0), 1.0)
-    return (1.0 - eta) * face + eta * uniform
+    p_y = prob.p_y
+    div = partial(_divergence_arrays, prob.divergence, prob.p_x)
+    cuts = []  # (slope, offset) pairs
+    lp_solves = iterations = 0
+    anchor_kind = None
 
+    def solve(lp_cost, perc, with_cuts):
+        nonlocal lp_solves, iterations
+        arrays = tuple(map(np.array, zip(*cuts))) if with_cuts else None
+        x, nit = _solve_lp(_lp_model(prob, lp_cost, dist_budget, perc, arrays))
+        lp_solves += 1
+        iterations += nit
+        return x, None if x is None else _clean_kernel(x[: ny * nxh].reshape(ny, nxh))
 
-class _FwWorkspace:
-    """Bookkeeping for the conditional-gradient path: iteration budget and LMO."""
-
-    def __init__(self, prob: ProblemInstance, dist_budget: float, budget: int):
-        self.prob = prob
-        self.dist_budget = dist_budget
-        self.iterations = 0
-        self.budget = budget
-        self.shape = prob.kernel_shape
-
-    def exhausted(self) -> bool:
-        return self.iterations >= self.budget
-
-    def lmo(self, grad: np.ndarray) -> np.ndarray:
-        """Linear minimization over row-stochastic kernels meeting the distortion budget.
-
-        The gradient is rescaled to unit magnitude first: the minimizer is
-        invariant under positive scaling, and divergence gradients blow up
-        near the boundary of the simplex.  With the distortion budget the
-        feasible set is a product of simplices cut by one linear constraint,
-        which a scalarized bisection solves exactly (see _lmo_budgeted).
-        """
-        finite = np.nan_to_num(grad, nan=0.0, posinf=1e300, neginf=-1e300)
-        scale = max(float(np.max(np.abs(finite))), 1.0)
-        finite = finite / scale
-        if not math.isfinite(self.dist_budget):
-            return _argmin_rows(finite)
-        return _lmo_budgeted(finite, self.prob.distortion_weights, self.dist_budget)
-
-
-def _lmo_budgeted(cost: np.ndarray, G: np.ndarray, dist_budget: float) -> np.ndarray:
-    """Minimize <cost, K> over row-stochastic K with <G, K> <= dist_budget.
-
-    Scalarization: for a multiplier lam >= 0, the per-row argmin of
-    cost + lam * G is optimal for some budget, and its distortion is
-    nonincreasing in lam.  Bisect lam until the budget brackets, then blend
-    the two bracketing vertices to sit exactly on the budget; the blend is
-    optimal because both endpoints minimize the same scalarized objective in
-    the limit.
-    """
-    ny = cost.shape[0]
-    rows = np.arange(ny)
-
-    def choice(lam):
-        picks = (cost + lam * G).argmin(axis=1)
-        dist = float(G[rows, picks].sum())
-        return picks, dist
-
-    picks0, dist0 = choice(0.0)
-    if dist0 <= dist_budget:
-        K = np.zeros_like(cost)
-        K[rows, picks0] = 1.0
-        return K
-    lam_lo, dist_lo, picks_lo = 0.0, dist0, picks0
-    lam_hi = 1.0
-    for _ in range(200):
-        picks_hi, dist_hi = choice(lam_hi)
-        if dist_hi <= dist_budget:
-            break
-        lam_lo, dist_lo, picks_lo = lam_hi, dist_hi, picks_hi
-        lam_hi *= 4.0
-    else:
-        # The caller guarantees the budget is achievable, so this is dust.
-        picks_hi, dist_hi = choice(lam_hi)
-    for _ in range(64):
-        mid = 0.5 * (lam_lo + lam_hi)
-        picks_mid, dist_mid = choice(mid)
-        if dist_mid <= dist_budget:
-            lam_hi, picks_hi, dist_hi = mid, picks_mid, dist_mid
-        else:
-            lam_lo, picks_lo, dist_lo = mid, picks_mid, dist_mid
-    K_hi = np.zeros_like(cost)
-    K_hi[rows, picks_hi] = 1.0
-    if dist_lo <= dist_hi + 1e-15:
-        return K_hi
-    t = (dist_budget - dist_hi) / (dist_lo - dist_hi)
-    t = min(max(t, 0.0), 1.0)
-    K_lo = np.zeros_like(cost)
-    K_lo[rows, picks_lo] = 1.0
-    return (1.0 - t) * K_hi + t * K_lo
-
-
-def _golden_linesearch(h, upper: float = 1.0, iters: int = 48) -> float:
-    """Minimize a convex one-dimensional function on [0, upper]; inf-aware."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, upper
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    hc, hd = h(c), h(d)
-    for _ in range(iters):
-        if hc <= hd:
-            b, d, hd = d, c, hc
-            c = b - invphi * (b - a)
-            hc = h(c)
-        else:
-            a, c, hc = c, d, hd
-            d = a + invphi * (b - a)
-            hd = h(d)
-    mid = 0.5 * (a + b)
-    candidates = [(h(mid), mid), (h(upper), upper), (h(0.0), 0.0)]
-    return min(candidates)[1]
-
-
-def _fw_minimize(
-    ws: _FwWorkspace,
-    cost: np.ndarray,
-    mu: float,
-    start: np.ndarray,
-    tol: float,
-    max_iters: int,
-):
-    """Conditional gradient for <cost, K> + mu * d(p_X, K^T p_Y) over the polytope.
-
-    Returns (kernel, smooth value, certified FW gap).  The gap bounds the
-    suboptimality of the returned kernel for this penalized objective.
-    """
-    prob = ws.prob
-    kind = prob.divergence
-    p_x, p_y = prob.p_x, prob.p_y
-    K = start
-
-    def phi_of(q):
-        return _divergence_arrays(kind, p_x, np.clip(q, 0.0, None))
-
-    gap = math.inf
-    for _ in range(max_iters):
-        if ws.exhausted():
-            break
-        ws.iterations += 1
-        q = K.T @ p_y
-        grad = cost + mu * (p_y[:, None] * _divergence_gradient(kind, p_x, np.clip(q, 1e-300, None))[None, :])
-        S = ws.lmo(grad)
-        gap = float(np.sum(grad * (K - S)))
-        if gap <= tol:
-            break
-        delta = S - K
-        dq = delta.T @ p_y
-        lin = float(np.sum(cost * delta))
-
-        def h(gamma, q=q, dq=dq, lin=lin):
-            return lin * gamma + mu * phi_of(q + gamma * dq)
-
-        gamma = _golden_linesearch(h)
-        if gamma <= 0.0:
-            break
-        K = K + gamma * delta
-    # Recompute an honest gap at the final iterate.
-    q = K.T @ p_y
-    grad = cost + mu * (p_y[:, None] * _divergence_gradient(kind, p_x, np.clip(q, 1e-300, None))[None, :])
-    if not ws.exhausted():
-        ws.iterations += 1
-        S = ws.lmo(grad)
-        gap = max(float(np.sum(grad * (K - S))), 0.0)
-    value = float(np.sum(cost * K)) + mu * phi_of(q)
-    return K, value, gap
-
-
-def _perception_anchor(ws: _FwWorkspace, perc_budget: float):
-    """Minimize the divergence over distortion-feasible kernels.
-
-    Returns (anchor kernel, achieved divergence) or a certified infeasibility
-    marker (None, best lower bound) when every kernel exceeds the budget.
-    """
-    prob = ws.prob
-    start = _distortion_feasible_start(prob, ws.dist_budget)
-    phi_start = _divergence_arrays(prob.divergence, prob.p_x, np.clip(start.T @ prob.p_y, 0.0, None))
-    if math.isinf(phi_start):
-        # The widest-support start still misses the support: structurally out.
-        return None, math.inf, "support"
-    zero_cost = np.zeros(prob.kernel_shape)
-    K = start
-    target = perc_budget * (1.0 - 1e-3) - 1e-15
-    best_phi = phi_start
-    while True:
-        K, value, gap = _fw_minimize(ws, zero_cost, 1.0, K, tol=1e-10, max_iters=200)
-        best_phi = min(best_phi, value)
-        if value <= target:
-            return K, value, None
-        if value - gap > perc_budget:
-            return None, value - gap, "perception"
-        if gap <= 1e-10 or ws.exhausted():
-            if value <= perc_budget + 1e-12:
-                return K, value, None
-            return None, value - gap, "perception"
-
-
-def _general_minimize(
-    prob: ProblemInstance,
-    cost: np.ndarray,
-    dist_budget: float,
-    perc_budget: float,
-    budget: int,
-    gap_tol: float,
-) -> _LinearOutcome:
-    """Smooth-divergence path: dual bisection on the perception multiplier.
-
-    The inner problems (linear cost plus mu times the divergence) are solved
-    by conditional gradient; each solve certifies a lower bound on the true
-    constrained optimum, and feasible primal candidates come from the
-    feasible side of the bisection plus exact root-found blends across the
-    constraint boundary.
-    """
-    from scipy.optimize import brentq
-
-    ws = _FwWorkspace(prob, dist_budget, budget)
-    kind = prob.divergence
-    p_x, p_y = prob.p_x, prob.p_y
-
-    def phi(K):
-        return _divergence_arrays(kind, p_x, np.clip(K.T @ p_y, 0.0, None))
-
-    def obj(K):
-        return float(np.sum(cost * K))
-
-    anchor, anchor_phi, violated = _perception_anchor(ws, perc_budget)
-    if anchor is None:
+    def outcome(status, kernel, gap, notes, violated=None):
         return _LinearOutcome(
-            status=SolveStatus.INFEASIBLE,
-            kernel=None,
-            objective=math.nan,
-            iterations=ws.iterations,
-            gap=math.nan,
-            method="dual_fw",
+            status=status,
+            kernel=kernel,
+            iterations=iterations,
+            gap=gap,
+            method="cuts",
             violated=violated,
-            notes=f"minimum achievable divergence exceeds the budget (lower bound {anchor_phi:.6e})",
+            notes=notes,
+            details={"lp_solves": lp_solves, "cuts": len(cuts), "anchor": anchor_kind},
         )
 
-    # Unconstrained-in-perception probe: one exact linear minimization.
-    ws.iterations += 1
-    K_lin = ws.lmo(cost)
-    if phi(K_lin) <= perc_budget:
-        return _LinearOutcome(
-            status=SolveStatus.OPTIMAL,
-            kernel=_clean_kernel(K_lin),
-            objective=obj(K_lin),
-            iterations=ws.iterations,
-            gap=0.0,
-            method="dual_fw",
-            notes="perception constraint inactive at the linear optimum",
-        )
+    _, K = solve(cost, math.inf, False)
+    q = K.T @ p_y
+    if div(q) <= perc_budget:
+        return outcome(SolveStatus.OPTIMAL, K, 0.0, "perception constraint inactive at the LP optimum")
+    lower = float(np.sum(cost * K))
 
-    best_feasible_K = anchor
-    best_feasible_val = obj(anchor)
-    best_lb = obj(K_lin)  # exact value of the relaxation without the perception constraint
-    infeasible_K = K_lin
-
-    def consider_feasible(K):
-        nonlocal best_feasible_K, best_feasible_val
-        v = obj(K)
-        if v < best_feasible_val:
-            best_feasible_K, best_feasible_val = K, v
-
-    def blend_candidate(K_out, K_in):
-        """Root-find the constraint boundary on the segment infeasible->feasible."""
-        phi_out, phi_in = phi(K_out), phi(K_in)
-        if not (phi_out > perc_budget >= phi_in):
-            return
-        f = lambda b: phi((1.0 - b) * K_out + b * K_in) - perc_budget
-        try:
-            b_star = brentq(f, 0.0, 1.0, xtol=1e-14)
-        except ValueError:
-            return
-        K_b = (1.0 - b_star) * K_out + b_star * K_in
-        for _ in range(100):
-            if phi(K_b) <= perc_budget:
+    _, anchor = solve(cost, 0.0, False)
+    if anchor is not None:
+        anchor_kind = "pinned"
+    else:
+        # At the minimum distortion kernels keep to each row's cheapest entries;
+        # spread over all of them, q has the widest support any kernel gives.
+        G = prob.distortion_weights
+        cheapest = G <= G.min(axis=1, keepdims=True) + 1e-12
+        if dist_budget <= min_distortion(prob) + 1e-12 and math.isinf(
+            div((cheapest / cheapest.sum(axis=1, keepdims=True)).T @ p_y)
+        ):
+            notes = "every kernel at the minimum distortion misses the support the divergence needs"
+            return outcome(SolveStatus.INFEASIBLE, None, math.nan, notes, violated="perception")
+        cuts.append(_tangent_cut(prob, q))
+        epigraph_cost = np.zeros(ny * nxh + 1)
+        epigraph_cost[-1] = 1.0
+        for _ in range(CUT_ROUNDS):
+            x, candidate = solve(epigraph_cost, perc_budget, True)
+            if x is None:
+                notes = "tangent cuts bound the divergence above the budget on every distortion-feasible kernel"
+                return outcome(SolveStatus.INFEASIBLE, None, math.nan, notes, violated="perception")
+            q_c = candidate.T @ p_y
+            if div(q_c) <= 0.5 * (perc_budget + x[-1]):
+                anchor, anchor_kind = candidate, "epigraph"
                 break
-            b_star = min(1.0, b_star + 1e-12 + (1.0 - b_star) * 1e-6)
-            K_b = (1.0 - b_star) * K_out + b_star * K_in
-        if phi(K_b) <= perc_budget:
-            consider_feasible(K_b)
-
-    mu_lo, mu_hi = 0.0, None
-    K_warm = anchor
-    mu = 1.0
-
-    def evaluate(mu_val, tol=None, max_iters=400):
-        nonlocal K_warm, best_lb, infeasible_K
-        if tol is None:
-            # Solve loosely while the duality gap is wide; tighten as it closes
-            # so the Lagrangian lower bound is not polluted by inner slack.
-            gap_now = max(best_feasible_val - best_lb, 0.0)
-            tol = min(1e-3, max(0.05 * gap_now, 0.05 * gap_tol, 1e-9))
-        K_mu, lagr_val, fw_gap = _fw_minimize(ws, cost, mu_val, K_warm, tol=tol, max_iters=max_iters)
-        K_warm = K_mu
-        dual_value = lagr_val - mu_val * perc_budget - fw_gap
-        best_lb = max(best_lb, dual_value)
-        phi_mu = phi(K_mu)
-        if phi_mu <= perc_budget:
-            consider_feasible(K_mu)
-            blend_candidate(infeasible_K, K_mu)
+            cuts.append(_tangent_cut(prob, q_c))
         else:
-            infeasible_K = K_mu
-            blend_candidate(K_mu, best_feasible_K)
-        return phi_mu
+            return outcome(
+                SolveStatus.ITERATION_LIMIT, None, math.nan, f"no anchor inside the budget in {CUT_ROUNDS} rounds"
+            )
+    q_anchor = anchor.T @ p_y
+    best, upper = anchor, float(np.sum(cost * anchor))
+    # A cost of GENERAL_GAP_TOL / (10 P) on t picks, among LP optima, the one
+    # the cuts rate least divergent, so a whole face of optima does not leave
+    # the rounds creeping toward the budget; the bound drops by at most a tenth.
+    lp_cost = np.append(cost.ravel(), 0.1 * GENERAL_GAP_TOL / perc_budget)
 
-    # Find a multiplier large enough to land on the feasible side.
-    for _ in range(60):
-        if ws.exhausted():
+    for _ in range(CUT_ROUNDS):
+        # Bisect for the first point from K toward the anchor inside the budget.
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if div((1.0 - mid) * q + mid * q_anchor) <= perc_budget:
+                hi = mid
+            else:
+                lo = mid
+        boundary = (1.0 - hi) * K + hi * anchor
+        if float(np.sum(cost * boundary)) < upper:
+            best, upper = boundary, float(np.sum(cost * boundary))
+        if upper - lower <= GENERAL_GAP_TOL:
             break
-        if evaluate(mu) <= perc_budget:
-            mu_hi = mu
+        cuts += [_tangent_cut(prob, q), _tangent_cut(prob, boundary.T @ p_y)]
+        x, K = solve(lp_cost, perc_budget, True)
+        if K is None:
             break
-        mu_lo = mu
-        mu *= 4.0
-    while not ws.exhausted() and mu_hi is not None and (mu_hi - mu_lo) > 1e-14 * max(1.0, mu_hi):
-        if best_feasible_val - best_lb <= gap_tol:
+        q = K.T @ p_y
+        lower = max(lower, float(np.sum(cost * K) + lp_cost[-1] * (x[-1] - perc_budget)))
+        if div(q) <= perc_budget:
+            best, upper = K, float(np.sum(cost * K))
             break
-        mid = 0.5 * (mu_lo + mu_hi)
-        if evaluate(mid) <= perc_budget:
-            mu_hi = mid
-        else:
-            mu_lo = mid
-
-    # Long refinement at the converged multiplier if the gap is still open.
-    if mu_hi is not None and best_feasible_val - best_lb > gap_tol and not ws.exhausted():
-        evaluate(mu_hi, tol=0.25 * gap_tol, max_iters=min(ws.budget - ws.iterations, 4000))
-
-    gap = max(best_feasible_val - best_lb, 0.0)
-    status = SolveStatus.OPTIMAL if gap <= gap_tol else SolveStatus.ITERATION_LIMIT
-    return _LinearOutcome(
-        status=status,
-        kernel=_clean_kernel(best_feasible_K),
-        objective=best_feasible_val,
-        iterations=ws.iterations,
-        gap=gap,
-        method="dual_fw",
-        notes=f"dual bisection on the perception multiplier (final interval [{mu_lo:.3e}, {mu_hi if mu_hi is not None else math.inf:.3e}])",
-    )
+    gap = max(upper - lower, 0.0)
+    status = SolveStatus.OPTIMAL if gap <= GENERAL_GAP_TOL else SolveStatus.ITERATION_LIMIT
+    return outcome(status, best, gap, "LP plus tangent cuts of the divergence")
 
 
-def _minimize_linear(
-    prob: ProblemInstance,
-    cost: np.ndarray,
-    dist_budget: float,
-    perc_budget: float,
-    budget: int = ITERATION_BUDGET,
-    gap_tol: float = GENERAL_GAP_TOL,
-) -> _LinearOutcome:
+def _minimize_linear(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, perc_budget: float) -> _LinearOutcome:
     """Minimize a linear kernel functional under the distortion and perception budgets."""
     dmin = min_distortion(prob)
     if dist_budget < dmin - 1e-12:
         return _LinearOutcome(
             status=SolveStatus.INFEASIBLE,
             kernel=None,
-            objective=math.nan,
             iterations=0,
             gap=math.nan,
             method="precheck",
@@ -863,7 +657,6 @@ def _minimize_linear(
         return _LinearOutcome(
             status=SolveStatus.OPTIMAL,
             kernel=kernel,
-            objective=float(np.sum(kernel * cost)),
             iterations=1,
             gap=0.0,
             method="vertex",
@@ -873,7 +666,7 @@ def _minimize_linear(
     # budget is the total-variation LP with its budget at zero.
     if no_perception or perc_budget == 0.0 or prob.divergence.name == TOTAL_VARIATION:
         return _lp_minimize(prob, cost, dist_budget, perc_budget)
-    return _general_minimize(prob, cost, dist_budget, perc_budget, budget, gap_tol)
+    return _cut_minimize(prob, cost, dist_budget, perc_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -915,19 +708,22 @@ def _result_from_kernel(
     )
 
 
-def _infeasible_result(outcome: _LinearOutcome, method_note: str) -> TradeoffResult:
+def _result_without_kernel(outcome: _LinearOutcome, method_note: str) -> TradeoffResult:
+    """An infeasible cell, or one whose cut rounds ran out before finding a
+    kernel inside the perception budget."""
     return TradeoffResult(
         value=math.nan,
         kernel=None,
         achieved_distortion=math.nan,
         achieved_perception=math.nan,
-        status=SolveStatus.INFEASIBLE,
+        status=outcome.status,
         certificate={
             "method": outcome.method,
             "iterations": outcome.iterations,
             "duality_gap": None,
             "violated": outcome.violated,
             "notes": outcome.notes or method_note,
+            **outcome.details,
         },
     )
 
@@ -939,18 +735,19 @@ def solve_cdp(prob: ProblemInstance, dist_budget: float, perc_budget: float) -> 
     kernels meeting both budgets.  Pass ``math.inf`` to drop a constraint.
     Exact (LP) for total variation, zero perception budgets, or absent
     perception constraints; otherwise solved to a certified duality gap of
-    ``GENERAL_GAP_TOL`` within the iteration budget.
+    ``GENERAL_GAP_TOL`` within ``CUT_ROUNDS`` rounds of tangent cuts.
     """
     _validate_budgets(prob, dist_budget, perc_budget)
     outcome = _minimize_linear(prob, prob.objective_weights, dist_budget, perc_budget)
-    if outcome.status is SolveStatus.INFEASIBLE:
-        return _infeasible_result(outcome, "fixed-classifier solve")
+    if outcome.kernel is None:
+        return _result_without_kernel(outcome, "fixed-classifier solve")
     certificate = {
         "method": outcome.method,
         "iterations": outcome.iterations,
         "duality_gap": outcome.gap,
         "violated": None,
         "notes": outcome.notes,
+        **outcome.details,
     }
     return _result_from_kernel(prob, outcome.kernel, False, outcome.status, certificate)
 
@@ -985,8 +782,8 @@ def solve_scdp(prob: ProblemInstance, dist_budget: float, perc_budget: float) ->
             lower = min(lower, bounds[r])
             break
         outcome = _minimize_linear(prob, weights[r], dist_budget, perc_budget)
-        if outcome.status is SolveStatus.INFEASIBLE:
-            return _infeasible_result(outcome, "strong solve")
+        if outcome.kernel is None:
+            return _result_without_kernel(outcome, "strong solve")
         solved += 1
         iterations += outcome.iterations
         # Both values sum per-symbol class masses in one order, so the Bayes

@@ -30,6 +30,12 @@ from cdptradeoff.oracle import (
 )
 
 TV = DivergenceKind.total_variation()
+SMOOTH = (
+    DivergenceKind.kullback_leibler(),
+    DivergenceKind.hellinger(),
+    DivergenceKind.renyi(0.5),
+    DivergenceKind.renyi(2.0),
+)
 
 
 def binom(n, k):
@@ -185,18 +191,20 @@ class TestFrozenOracleValues:
         assert got_s.value == pytest.approx(0.325, abs=1e-12)
 
 
+def binary_instance(rng, kind):
+    n = 2
+    prior1 = float(rng.uniform(0.2, 0.8))
+    src = MixtureSource.from_masses(prior1, 1.0 - prior1, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n)))
+    deg = Channel.from_rows([rng.dirichlet(np.ones(n)) for _ in range(n)])
+    delta = DistortionMatrix.hamming(src.alphabet)
+    cls = DecisionRegion.from_indices(src.alphabet, [int(rng.integers(0, n))])
+    return ProblemInstance(src, deg, src.alphabet, delta, kind, cls)
+
+
 class TestSolverOracleSandwich:
     def test_random_tv_instances(self, rng):
         for _ in range(6):
-            n = 2
-            prior1 = float(rng.uniform(0.2, 0.8))
-            src = MixtureSource.from_masses(
-                prior1, 1.0 - prior1, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
-            )
-            deg = Channel.from_rows([rng.dirichlet(np.ones(n)) for _ in range(n)])
-            delta = DistortionMatrix.hamming(src.alphabet)
-            cls = DecisionRegion.from_indices(src.alphabet, [int(rng.integers(0, n))])
-            prob = ProblemInstance(src, deg, src.alphabet, delta, TV, cls)
+            prob = binary_instance(rng, TV)
             dmin = min_distortion(prob)
             D, P = dmin + 0.15, 0.15
             grid = grid_search_cdp(prob, D, P, step=0.05)
@@ -208,3 +216,19 @@ class TestSolverOracleSandwich:
             if sgrid.status is SolveStatus.OPTIMAL and upper.ok:
                 assert upper.value <= sgrid.value + 1e-9
                 assert upper.value >= sgrid.value - sgrid.lipschitz_slack - 1e-9
+
+    @pytest.mark.parametrize("kind", SMOOTH, ids=lambda k: f"{k.name}{k.alpha or ''}")
+    def test_random_smooth_instances(self, kind, rng):
+        # The cut solver's lower bound (value minus its certified gap) never
+        # exceeds a lattice minimum, and its value is within the lattice slack.
+        solved = 0
+        for _ in range(8):
+            prob = binary_instance(rng, kind)
+            D, P = min_distortion(prob) + float(rng.uniform(0.02, 0.3)), float(rng.uniform(0.005, 0.2))
+            grid = grid_search_cdp(prob, D, P, step=0.002)
+            exact = solve_cdp(prob, D, P)
+            if grid.status is SolveStatus.OPTIMAL and exact.ok:
+                solved += 1
+                assert exact.value - exact.certificate["duality_gap"] <= grid.value + 1e-12
+                assert exact.value >= grid.value - grid.lipschitz_slack
+        assert solved >= 4

@@ -36,11 +36,12 @@ from cdptradeoff import (
     solve_scdp,
     sweep_surface,
 )
-from cdptradeoff import solver
-from cdptradeoff.solver import BUDGET_SLACK
+from cdptradeoff import audit, solver
+from cdptradeoff.solver import BUDGET_SLACK, GENERAL_GAP_TOL
 
 TV = DivergenceKind.total_variation()
 KL = DivergenceKind.kullback_leibler()
+SMOOTH = (KL, DivergenceKind.hellinger(), DivergenceKind.renyi(0.5), DivergenceKind.renyi(2.0))
 
 D_GRID = (0.1, 0.15, 0.2, 0.25, 0.3, 0.35)
 P_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -61,6 +62,27 @@ def small_instance(rng, n=None, kind=TV):
     k = int(rng.integers(1, n))
     cls = DecisionRegion.from_indices(src.alphabet, list(rng.choice(n, size=k, replace=False)))
     return ProblemInstance(src, deg, src.alphabet, delta, kind, cls)
+
+
+def smooth_cells(rng):
+    """One 3-symbol instance per smooth divergence, at budgets that reach every
+    exit of the cut loop: certified infeasible (by support at the minimum
+    distortion, or by the cuts just above it), an anchor from epigraph rounds,
+    an anchor from pinning the marginal, and an inactive perception constraint."""
+    out = []
+    for kind in SMOOTH:
+        prob = small_instance(rng, 3, kind)
+        dmin = min_distortion(prob)
+        budgets = ((dmin, 0.1), (dmin + 0.01, 1e-4), (dmin + 0.01, 0.1), (dmin + 0.3, 0.01), (math.inf, 1.0))
+        out += [(prob, D, P) for D, P in budgets]
+    return out
+
+
+def cut_exit(result):
+    """Which exit of the cut loop a smooth fixed-classifier result took."""
+    if not result.ok:
+        return "infeasible"
+    return "inactive" if result.certificate["cuts"] == 0 else result.certificate["anchor"]
 
 
 class TestProblemInstance:
@@ -222,6 +244,30 @@ class TestSolveCdp:
         assert r.achieved_distortion <= 0.3 + 1e-8
         assert r.achieved_perception <= 0.05 + 1e-8
 
+    def test_kl_cell_once_left_uncertified_is_optimal(self):
+        # Solved by dual bisection, this cell hit a 10,000-iteration cap
+        # with its gap still at 5.8e-6.
+        prob = audit.random_instance(np.random.default_rng(5), KL)
+        r = solve_cdp(prob, min_distortion(prob) + 0.15, 0.05)
+        assert r.status is SolveStatus.OPTIMAL
+        assert r.certificate["duality_gap"] <= GENERAL_GAP_TOL
+
+    @pytest.mark.filterwarnings("error")
+    def test_smooth_cells_certify_their_gap(self, rng):
+        # Cuts near the simplex boundary stay finite (no overflow warning),
+        # and a smooth cell is Optimal exactly when its gap is within the
+        # tolerance.
+        for prob, D, P in smooth_cells(rng):
+            for r in (solve_cdp(prob, D, P), solve_scdp(prob, D, P)):
+                cert = r.certificate
+                assert isinstance(cert["iterations"], int)
+                if r.ok:
+                    assert (r.status is SolveStatus.OPTIMAL) == (cert["duality_gap"] <= GENERAL_GAP_TOL)
+                    assert r.achieved_distortion <= D + BUDGET_SLACK
+                    assert r.achieved_perception <= P + BUDGET_SLACK
+                if cert["method"] == "cuts":
+                    assert isinstance(cert["lp_solves"], int) and isinstance(cert["cuts"], int)
+
     def test_tightening_either_budget_never_helps(self, rng):
         for _ in range(10):
             prob = small_instance(rng)
@@ -292,18 +338,19 @@ class TestSolveScdp:
     def test_equals_minimum_over_regions_of_fixed_solve(self, rng):
         # C_S(D, P) = min_R C(D, P; R): the strong value is the fixed-classifier
         # surface minimized over every decision region of the restoration alphabet.
-        for _ in range(12):
-            prob = small_instance(rng)
-            D = min_distortion(prob) + float(rng.uniform(0.0, 0.3))
-            P = float(rng.uniform(0.0, 0.3))
-            strong = solve_scdp(prob, D, P)
-            fixed = [
-                solve_cdp(replace(prob, classifier=DecisionRegion(prob.restore_alphabet, np.array(members))), D, P)
-                for members in product((False, True), repeat=prob.restore_alphabet.size)
-            ]
-            assert strong.ok == all(r.ok for r in fixed)
-            if strong.ok:
-                assert strong.value == pytest.approx(min(r.value for r in fixed), abs=1e-12)
+        for kind, tol in ((TV, 1e-12), (KL, GENERAL_GAP_TOL)):
+            for _ in range(12):
+                prob = small_instance(rng, kind=kind)
+                D = min_distortion(prob) + float(rng.uniform(0.0, 0.3))
+                P = float(rng.uniform(0.0, 0.3))
+                strong = solve_scdp(prob, D, P)
+                fixed = [
+                    solve_cdp(replace(prob, classifier=DecisionRegion(prob.restore_alphabet, np.array(members))), D, P)
+                    for members in product((False, True), repeat=prob.restore_alphabet.size)
+                ]
+                assert strong.ok == all(r.ok for r in fixed)
+                if strong.ok:
+                    assert strong.value == pytest.approx(min(r.value for r in fixed), abs=tol)
 
     def test_stops_once_the_bound_is_within_rounding_of_the_best_value(self, monkeypatch):
         # The best kernel attains the degraded Bayes error, which is the bound
@@ -368,19 +415,20 @@ class TestSweepSurface:
         # Every cell is a pure function of (instance, D, P): no model, basis or
         # warm start outlives a call, so any order gives the same bytes.
         solve = solve_cdp if which == "cdp" else solve_scdp
-        for n in (3, 4):
-            prob = small_instance(rng, n)
-            dmin = min_distortion(prob)
-            d_grid = (0.5 * dmin, dmin, dmin + 0.05, dmin + 0.2, math.inf)
-            p_grid = (0.0, 0.02, 0.1, 0.3, math.inf)
-            table = sweep_surface(prob, d_grid, p_grid, which)
-            cells = [(i, j) for i in range(len(d_grid)) for j in range(len(p_grid))]
-            shuffled = list(cells)
-            rng.shuffle(shuffled)
-            for order in (cells[::-1], shuffled):
-                again = {(i, j): solve(prob, d_grid[i], p_grid[j]) for i, j in order}
-                for i, j in cells:
-                    assert cell_bytes(again[i, j]) == cell_bytes(table.cells[i][j]), (n, i, j)
+        for kind in (TV, KL):
+            for n in (3, 4):
+                prob = small_instance(rng, n, kind)
+                dmin = min_distortion(prob)
+                d_grid = (0.5 * dmin, dmin, dmin + 0.05, dmin + 0.2, math.inf)
+                p_grid = (0.0, 0.02, 0.1, 0.3, math.inf)
+                table = sweep_surface(prob, d_grid, p_grid, which)
+                cells = [(i, j) for i in range(len(d_grid)) for j in range(len(p_grid))]
+                shuffled = list(cells)
+                rng.shuffle(shuffled)
+                for order in (cells[::-1], shuffled):
+                    again = {(i, j): solve(prob, d_grid[i], p_grid[j]) for i, j in order}
+                    for i, j in cells:
+                        assert cell_bytes(again[i, j]) == cell_bytes(table.cells[i][j]), (kind.name, n, i, j)
 
 
 class TestLpPaths:
@@ -406,7 +454,8 @@ class TestLpPaths:
         cls = DecisionRegion.from_indices(restore, [0, 2])
         prob = ProblemInstance(src, Channel.from_rows(rng.dirichlet(np.ones(3), size=3)), restore, delta, TV, cls)
         out += [(prob, D, math.inf) for D in (min_distortion(prob), min_distortion(prob) + 0.1)]
-        return out
+        # Smooth divergences add cut rows and the epigraph column to the arrays.
+        return out + smooth_cells(rng)
 
     @pytest.mark.skipif(solver._highspy is None, reason="this scipy has no HiGHS bindings")
     def test_lp_solves_leave_scipy_optimize_unimported(self):
@@ -420,6 +469,10 @@ class TestLpPaths:
             "prob = ProblemInstance(src, Channel.bsc(0.1), src.alphabet, DistortionMatrix.hamming(src.alphabet),\n"
             "                       DivergenceKind.kullback_leibler(), DecisionRegion.from_indices(src.alphabet, [0]))\n"
             "assert solve_cdp(prob, 0.3, 0.0).ok and solve_scdp(prob, 0.3, 0.0).ok and solve_cdp(prob, 0.2, math.inf).ok\n"
+            "skewed = MixtureSource.from_masses(0.3, 0.7, [0.9, 0.1], [0.25, 0.75])\n"
+            "kl = ProblemInstance(skewed, Channel.bsc(0.1), skewed.alphabet, DistortionMatrix.hamming(skewed.alphabet),\n"
+            "                     DivergenceKind.kullback_leibler(), DecisionRegion.from_indices(skewed.alphabet, [1]))\n"
+            "assert solve_cdp(kl, 0.3, 0.05).certificate['cuts'] > 0\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize') and not m.startswith('scipy.optimize._highspy')))\n"
         )
         src_dir = str(pathlib.Path(solver.__file__).resolve().parent.parent)
@@ -442,8 +495,10 @@ class TestLpPaths:
         monkeypatch.setattr(solver, "_highspy", None)
         fallback = [(solve_cdp(*c), solve_scdp(*c)) for c in cells]
         assert calls
-        violated = set()
+        violated, exits = set(), set()
         for (prob, D, P), pair_a, pair_b in zip(cells, direct, fallback):
+            if prob.divergence != TV:
+                exits.add(cut_exit(pair_a[0]))
             for a, b in zip(pair_a, pair_b):
                 assert a.status is b.status
                 assert a.certificate["violated"] == b.certificate["violated"]
@@ -456,6 +511,28 @@ class TestLpPaths:
                     if math.isfinite(P):
                         assert r.achieved_perception <= P + BUDGET_SLACK
         assert violated == {None, "distortion", "perception"}
+        assert exits == {"infeasible", "epigraph", "pinned", "inactive"}
+
+    def test_interior_point_retry_takes_over_from_a_stalled_simplex(self, rng, monkeypatch):
+        # On some LPs with many steep cut rows the dual simplex stops outside
+        # its primal tolerance; the retry solves the same arrays by interior point.
+        cells = smooth_cells(rng)
+        expected = [solve_cdp(*c) for c in cells]
+        for name in ("_highs_run", "_linprog_run"):
+            run = getattr(solver, name)
+
+            def stalled(model, tolerances, ipm, run=run):
+                return run(model, tolerances, ipm) if ipm else ("Unknown", None, 0)
+
+            monkeypatch.setattr(solver, name, stalled)
+            if name == "_linprog_run":
+                monkeypatch.setattr(solver, "_highspy", None)
+            for (prob, D, P), want in zip(cells, expected):
+                got = solve_cdp(prob, D, P)
+                assert got.status is want.status
+                if got.ok:
+                    slack = got.certificate["duality_gap"] + want.certificate["duality_gap"]
+                    assert abs(got.value - want.value) <= slack + 1e-9
 
 
 class TestRandomizedKernelProperties:
