@@ -462,8 +462,12 @@ def run_audit(
     """Run every property suite with a fresh seeded generator per suite.
 
     Per-suite generators keep one suite's draw count from shifting another
-    suite's instances, so reports are stable under suite reordering.
+    suite's instances, so reports are stable under suite reordering.  A
+    suite of no trials would pass vacuously, so both counts must be at least 1.
     """
+    for name, value in (("trials", trials), ("surface_trials", surface_trials)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     results = []
     for index, suite in enumerate(ALL_SUITES):
         rng = np.random.default_rng([seed, index])

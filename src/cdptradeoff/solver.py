@@ -25,8 +25,7 @@ Every linear program goes to HiGHS through the bindings scipy bundles
 (``scipy.optimize._highspy._core``), loaded without the rest of
 ``scipy.optimize``, with presolve off because the programs are tiny
 (without cuts, at most 72 columns and 26 rows on alphabets of up to 8
-symbols) and presolve costs more than it saves.  ``scipy.optimize.linprog``
-solves the same arrays where those bindings are absent (scipy before 1.15).
+symbols) and presolve costs more than it saves.
 
 Solvers are pure functions of their inputs: each LP is built from arrays and
 handed to a fresh HiGHS instance, no model or basis is kept between calls,
@@ -41,7 +40,7 @@ import importlib.util
 import math
 import pathlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
 from typing import NamedTuple, Optional, Sequence
@@ -98,7 +97,7 @@ _CUT_PULLS = (0.0, *np.geomspace(1e-12, 0.5, 24))
 
 
 def _load_highs():
-    """scipy's bundled HiGHS bindings, or None where this scipy has none (before 1.15).
+    """scipy's bundled HiGHS bindings (scipy 1.15 and later).
 
     Importing ``scipy.optimize._highspy._core`` by name first imports all of
     ``scipy.optimize``, which on scipy 1.17 is about 550 modules and 48 MB of
@@ -114,22 +113,20 @@ def _load_highs():
         path = folder / f"_core{suffix}"
         if path.is_file():
             spec = importlib.util.spec_from_file_location(name, path)
-            try:
-                module = importlib.util.module_from_spec(spec)
-                spec.loader.exec_module(module)
-            except ImportError:
-                return None
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
             sys.modules[name] = module
             return module
-    return None
+    raise ImportError(f"cdptradeoff needs scipy>=1.15, whose HiGHS bindings are not in {folder}")
 
 
 _highspy = _load_highs()
 
 
 def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first use: only scipy without
-    the HiGHS bindings solves LPs through it."""
+    """``scipy.optimize.linprog``, imported on first use.  The solver never
+    calls it: every LP goes to ``_highs_run``.  The name stays because
+    ``perfbench/spans.py`` wraps it in traced benchmark runs."""
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
@@ -268,18 +265,6 @@ class SurfaceTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _LinearOutcome:
-    status: SolveStatus
-    kernel: Optional[np.ndarray]
-    iterations: int
-    gap: float
-    method: str
-    violated: Optional[str] = None
-    notes: str = ""
-    details: dict = field(default_factory=dict)
-
-
 def min_distortion(prob: ProblemInstance) -> float:
     """Smallest achievable expected distortion over all restoration kernels.
 
@@ -296,12 +281,6 @@ def _argmin_rows(cost: np.ndarray) -> np.ndarray:
     out = np.zeros((ny, nxh))
     out[np.arange(ny), cost.argmin(axis=1)] = 1.0
     return out
-
-
-def _clean_kernel(raw: np.ndarray) -> np.ndarray:
-    """Clip solver dust off a near-stochastic matrix and renormalize rows."""
-    arr = np.clip(np.asarray(raw, dtype=np.float64), 0.0, None)
-    return arr / arr.sum(axis=1, keepdims=True)
 
 
 class _LpModel(NamedTuple):
@@ -439,66 +418,55 @@ def _highs_run(model: _LpModel, tolerances: dict, ipm: bool) -> tuple:
     return highs.modelStatusToString(status), None, iterations
 
 
-def _linprog_run(model: _LpModel, tolerances: dict, ipm: bool) -> tuple:
-    """The same solve through ``scipy.optimize.linprog``, for scipy without the bindings."""
-    A = np.zeros((len(model.row_lower), len(model.c)))
-    A[model.index, np.repeat(np.arange(len(model.c)), np.diff(model.start))] = model.value
-    eq = model.row_lower == model.row_upper
-    res = linprog(
-        model.c,
-        A_ub=A[~eq],
-        b_ub=model.row_upper[~eq],
-        A_eq=A[eq],
-        b_eq=model.row_upper[eq],
-        bounds=np.column_stack((model.col_lower, model.col_upper)),
-        method="highs-ipm" if ipm else "highs",
-        options={**tolerances, "presolve": False},
-    )
-    if res.status == 0:
-        return "optimal", res.x, int(res.nit)
-    if res.status == 2:
-        return "infeasible", None, int(res.nit)
-    return res.message, None, int(res.nit)
-
-
 def _solve_lp(model: _LpModel) -> tuple:
     """(x, or None when infeasible; simplex iterations), retried once looser,
     by interior point, if the simplex stalls."""
-    run = _highs_run if _highspy is not None else _linprog_run
     iterations = 0
     for tolerances, ipm in ((_HIGHS_OPTIONS, False), (_HIGHS_FALLBACK, True)):
-        status, x, nit = run(model, tolerances, ipm)
+        status, x, nit = _highs_run(model, tolerances, ipm)
         iterations += nit
         if status in ("optimal", "infeasible"):
             return x, iterations
     raise RuntimeError(f"linear program failed unexpectedly ({status})")
 
 
-def _lp_minimize(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, perc_budget: float) -> _LinearOutcome:
-    """Exact LP path: total-variation budgets, zero perception budgets, or no
-    perception constraint at all."""
-    x, iterations = _solve_lp(_lp_model(prob, cost, dist_budget, perc_budget))
-    if x is not None:
-        ny, nxh = prob.kernel_shape
-        kernel = _clean_kernel(x[: ny * nxh].reshape(ny, nxh))
-        return _LinearOutcome(
-            status=SolveStatus.OPTIMAL,
-            kernel=kernel,
-            iterations=iterations,
-            gap=0.0,
-            method="lp",
-            notes="vertex solution from the simplex/HiGHS path",
-        )
-    # Distortion feasibility was pre-checked; the perception side is to blame.
-    return _LinearOutcome(
-        status=SolveStatus.INFEASIBLE,
-        kernel=None,
-        iterations=iterations,
-        gap=math.nan,
-        method="lp",
-        violated="perception",
-        notes="no kernel meets the perception budget jointly with the distortion budget",
-    )
+def _solve_kernel(
+    prob: ProblemInstance, cost: np.ndarray, dist_budget: float, perc_budget: float, cuts: Optional[list] = None
+) -> tuple:
+    """Solve the one LP, with the (slope, offset) pairs in ``cuts`` as cut rows:
+    (x, the kernel cut out of x with solver dust clipped off and rows
+    renormalized, simplex iterations); x and the kernel are None when the LP
+    is infeasible."""
+    arrays = tuple(map(np.array, zip(*cuts))) if cuts else None
+    x, iterations = _solve_lp(_lp_model(prob, cost, dist_budget, perc_budget, arrays))
+    if x is None:
+        return None, None, iterations
+    ny, nxh = prob.kernel_shape
+    kernel = np.clip(x[: ny * nxh].reshape(ny, nxh), 0.0, None)
+    return x, kernel / kernel.sum(axis=1, keepdims=True), iterations
+
+
+def _outcome(
+    status: SolveStatus,
+    kernel: Optional[np.ndarray],
+    method: str,
+    iterations: int,
+    notes: str,
+    gap: float = 0.0,
+    violated: Optional[str] = None,
+    **counters,
+) -> tuple:
+    """(status, kernel, certificate) of one solve; the certificate states no
+    duality gap when there is no kernel."""
+    certificate = {
+        "method": method,
+        "iterations": iterations,
+        "duality_gap": None if kernel is None else gap,
+        "violated": violated,
+        "notes": notes,
+        **counters,
+    }
+    return status, kernel, certificate
 
 
 def _tangent_cut(prob: ProblemInstance, q: np.ndarray) -> tuple:
@@ -524,7 +492,7 @@ def _tangent_cut(prob: ProblemInstance, q: np.ndarray) -> tuple:
     return slope, float(slope @ point) - _divergence_arrays(kind, p, point)
 
 
-def _cut_minimize(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, perc_budget: float) -> _LinearOutcome:
+def _cut_minimize(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, perc_budget: float) -> tuple:
     """Smooth divergences, 0 < P < inf: the one LP plus tangent cuts of the divergence.
 
     The divergence depends on K only through q = K^T p_Y, and a tangent cut
@@ -547,33 +515,24 @@ def _cut_minimize(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, p
     lp_solves = iterations = 0
     anchor_kind = None
 
-    def solve(lp_cost, perc, with_cuts):
+    def solve(lp_cost, perc):
         nonlocal lp_solves, iterations
-        arrays = tuple(map(np.array, zip(*cuts))) if with_cuts else None
-        x, nit = _solve_lp(_lp_model(prob, lp_cost, dist_budget, perc, arrays))
+        x, kernel, nit = _solve_kernel(prob, lp_cost, dist_budget, perc, cuts)
         lp_solves += 1
         iterations += nit
-        return x, None if x is None else _clean_kernel(x[: ny * nxh].reshape(ny, nxh))
+        return x, kernel
 
-    def outcome(status, kernel, gap, notes, violated=None):
-        return _LinearOutcome(
-            status=status,
-            kernel=kernel,
-            iterations=iterations,
-            gap=gap,
-            method="cuts",
-            violated=violated,
-            notes=notes,
-            details={"lp_solves": lp_solves, "cuts": len(cuts), "anchor": anchor_kind},
-        )
+    def outcome(status, kernel, notes, gap=0.0, violated=None):
+        counters = {"lp_solves": lp_solves, "cuts": len(cuts), "anchor": anchor_kind}
+        return _outcome(status, kernel, "cuts", iterations, notes, gap, violated, **counters)
 
-    _, K = solve(cost, math.inf, False)
+    _, K = solve(cost, math.inf)
     q = K.T @ p_y
     if div(q) <= perc_budget:
-        return outcome(SolveStatus.OPTIMAL, K, 0.0, "perception constraint inactive at the LP optimum")
+        return outcome(SolveStatus.OPTIMAL, K, "perception constraint inactive at the LP optimum")
     lower = float(np.sum(cost * K))
 
-    _, anchor = solve(cost, 0.0, False)
+    _, anchor = solve(cost, 0.0)
     if anchor is not None:
         anchor_kind = "pinned"
     else:
@@ -585,24 +544,22 @@ def _cut_minimize(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, p
             div((cheapest / cheapest.sum(axis=1, keepdims=True)).T @ p_y)
         ):
             notes = "every kernel at the minimum distortion misses the support the divergence needs"
-            return outcome(SolveStatus.INFEASIBLE, None, math.nan, notes, violated="perception")
+            return outcome(SolveStatus.INFEASIBLE, None, notes, violated="perception")
         cuts.append(_tangent_cut(prob, q))
         epigraph_cost = np.zeros(ny * nxh + 1)
         epigraph_cost[-1] = 1.0
         for _ in range(CUT_ROUNDS):
-            x, candidate = solve(epigraph_cost, perc_budget, True)
+            x, candidate = solve(epigraph_cost, perc_budget)
             if x is None:
                 notes = "tangent cuts bound the divergence above the budget on every distortion-feasible kernel"
-                return outcome(SolveStatus.INFEASIBLE, None, math.nan, notes, violated="perception")
+                return outcome(SolveStatus.INFEASIBLE, None, notes, violated="perception")
             q_c = candidate.T @ p_y
             if div(q_c) <= 0.5 * (perc_budget + x[-1]):
                 anchor, anchor_kind = candidate, "epigraph"
                 break
             cuts.append(_tangent_cut(prob, q_c))
         else:
-            return outcome(
-                SolveStatus.ITERATION_LIMIT, None, math.nan, f"no anchor inside the budget in {CUT_ROUNDS} rounds"
-            )
+            return outcome(SolveStatus.ITERATION_LIMIT, None, f"no anchor inside the budget in {CUT_ROUNDS} rounds")
     q_anchor = anchor.T @ p_y
     best, upper = anchor, float(np.sum(cost * anchor))
     # A cost of GENERAL_GAP_TOL / (10 P) on t picks, among LP optima, the one
@@ -625,7 +582,7 @@ def _cut_minimize(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, p
         if upper - lower <= GENERAL_GAP_TOL:
             break
         cuts += [_tangent_cut(prob, q), _tangent_cut(prob, boundary.T @ p_y)]
-        x, K = solve(lp_cost, perc_budget, True)
+        x, K = solve(lp_cost, perc_budget)
         if K is None:
             break
         q = K.T @ p_y
@@ -635,37 +592,30 @@ def _cut_minimize(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, p
             break
     gap = max(upper - lower, 0.0)
     status = SolveStatus.OPTIMAL if gap <= GENERAL_GAP_TOL else SolveStatus.ITERATION_LIMIT
-    return outcome(status, best, gap, "LP plus tangent cuts of the divergence")
+    return outcome(status, best, "LP plus tangent cuts of the divergence", gap)
 
 
-def _minimize_linear(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, perc_budget: float) -> _LinearOutcome:
-    """Minimize a linear kernel functional under the distortion and perception budgets."""
+def _minimize_linear(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, perc_budget: float) -> tuple:
+    """Minimize a linear kernel functional under the distortion and perception
+    budgets: (status, kernel or None, certificate)."""
     dmin = min_distortion(prob)
     if dist_budget < dmin - 1e-12:
-        return _LinearOutcome(
-            status=SolveStatus.INFEASIBLE,
-            kernel=None,
-            iterations=0,
-            gap=math.nan,
-            method="precheck",
-            violated="distortion",
-            notes=f"distortion budget {dist_budget} below the achievable minimum {dmin}",
-        )
+        notes = f"distortion budget {dist_budget} below the achievable minimum {dmin}"
+        return _outcome(SolveStatus.INFEASIBLE, None, "precheck", 0, notes, violated="distortion")
     no_perception = not math.isfinite(perc_budget)
     if no_perception and not math.isfinite(dist_budget):
-        kernel = _argmin_rows(cost)
-        return _LinearOutcome(
-            status=SolveStatus.OPTIMAL,
-            kernel=kernel,
-            iterations=1,
-            gap=0.0,
-            method="vertex",
-            notes="unconstrained: per-output-symbol minimization",
-        )
+        notes = "unconstrained: per-output-symbol minimization"
+        return _outcome(SolveStatus.OPTIMAL, _argmin_rows(cost), "vertex", 1, notes)
     # Every supported divergence vanishes only at p_Xhat = p_X, so a zero
     # budget is the total-variation LP with its budget at zero.
     if no_perception or perc_budget == 0.0 or prob.divergence.name == TOTAL_VARIATION:
-        return _lp_minimize(prob, cost, dist_budget, perc_budget)
+        _, kernel, iterations = _solve_kernel(prob, cost, dist_budget, perc_budget)
+        if kernel is not None:
+            notes = "vertex solution from the simplex/HiGHS path"
+            return _outcome(SolveStatus.OPTIMAL, kernel, "lp", iterations, notes)
+        # Distortion feasibility was pre-checked; the perception side is to blame.
+        notes = "no kernel meets the perception budget jointly with the distortion budget"
+        return _outcome(SolveStatus.INFEASIBLE, None, "lp", iterations, notes, violated="perception")
     return _cut_minimize(prob, cost, dist_budget, perc_budget)
 
 
@@ -684,48 +634,23 @@ def _validate_budgets(prob: ProblemInstance, dist_budget: float, perc_budget: fl
         )
 
 
-def _result_from_kernel(
-    prob: ProblemInstance, raw_kernel: np.ndarray, strong: bool, outcome_status: SolveStatus, certificate: dict
+def _result(
+    prob: ProblemInstance, kernel: Optional[np.ndarray], strong: bool, status: SolveStatus, certificate: dict
 ) -> TradeoffResult:
-    kernel = Channel(prob.degrade.output, prob.restore_alphabet, raw_kernel)
-    restored = push_forward(prob.degraded, kernel)
-    if strong:
-        value = bayes_error(restored)
-    else:
-        value = error_rate(restored, prob.classifier)
-    achieved_d = expected_distortion(prob.source, prob.degrade, kernel, prob.delta)
+    """A solve's result: the value and budgets its kernel achieves, all NaN
+    when there is no kernel (an infeasible cell, or one whose cut rounds ran
+    out before finding a kernel inside the perception budget)."""
+    if kernel is None:
+        return TradeoffResult(math.nan, None, math.nan, math.nan, status, certificate)
+    channel = Channel(prob.degrade.output, prob.restore_alphabet, kernel)
+    restored = push_forward(prob.degraded, channel)
+    value = bayes_error(restored) if strong else error_rate(restored, prob.classifier)
+    achieved_d = expected_distortion(prob.source, prob.degrade, channel, prob.delta)
     if prob.perception_defined():
         achieved_p = divergence(prob.divergence, prob.source.marginal, restored.marginal)
     else:
         achieved_p = math.nan
-    return TradeoffResult(
-        value=value,
-        kernel=kernel,
-        achieved_distortion=achieved_d,
-        achieved_perception=achieved_p,
-        status=outcome_status,
-        certificate=certificate,
-    )
-
-
-def _result_without_kernel(outcome: _LinearOutcome, method_note: str) -> TradeoffResult:
-    """An infeasible cell, or one whose cut rounds ran out before finding a
-    kernel inside the perception budget."""
-    return TradeoffResult(
-        value=math.nan,
-        kernel=None,
-        achieved_distortion=math.nan,
-        achieved_perception=math.nan,
-        status=outcome.status,
-        certificate={
-            "method": outcome.method,
-            "iterations": outcome.iterations,
-            "duality_gap": None,
-            "violated": outcome.violated,
-            "notes": outcome.notes or method_note,
-            **outcome.details,
-        },
-    )
+    return TradeoffResult(value, channel, achieved_d, achieved_p, status, certificate)
 
 
 def solve_cdp(prob: ProblemInstance, dist_budget: float, perc_budget: float) -> TradeoffResult:
@@ -738,18 +663,8 @@ def solve_cdp(prob: ProblemInstance, dist_budget: float, perc_budget: float) -> 
     ``GENERAL_GAP_TOL`` within ``CUT_ROUNDS`` rounds of tangent cuts.
     """
     _validate_budgets(prob, dist_budget, perc_budget)
-    outcome = _minimize_linear(prob, prob.objective_weights, dist_budget, perc_budget)
-    if outcome.kernel is None:
-        return _result_without_kernel(outcome, "fixed-classifier solve")
-    certificate = {
-        "method": outcome.method,
-        "iterations": outcome.iterations,
-        "duality_gap": outcome.gap,
-        "violated": None,
-        "notes": outcome.notes,
-        **outcome.details,
-    }
-    return _result_from_kernel(prob, outcome.kernel, False, outcome.status, certificate)
+    status, kernel, certificate = _minimize_linear(prob, prob.objective_weights, dist_budget, perc_budget)
+    return _result(prob, kernel, False, status, certificate)
 
 
 def solve_scdp(prob: ProblemInstance, dist_budget: float, perc_budget: float) -> TradeoffResult:
@@ -781,32 +696,25 @@ def solve_scdp(prob: ProblemInstance, dist_budget: float, perc_budget: float) ->
         if bounds[r] >= best_val - REGION_STOP_TOL:
             lower = min(lower, bounds[r])
             break
-        outcome = _minimize_linear(prob, weights[r], dist_budget, perc_budget)
-        if outcome.kernel is None:
-            return _result_without_kernel(outcome, "strong solve")
+        status, kernel, cert = _minimize_linear(prob, weights[r], dist_budget, perc_budget)
+        if kernel is None:
+            return _result(prob, None, True, status, cert)
         solved += 1
-        iterations += outcome.iterations
+        iterations += cert["iterations"]
         # Both values sum per-symbol class masses in one order, so the Bayes
         # error never rounds above the region's own error rate.
-        q1 = prob.source.prior1 * (outcome.kernel.T @ prob.p_y1)
-        q2 = prob.source.prior2 * (outcome.kernel.T @ prob.p_y2)
+        q1 = prob.source.prior1 * (kernel.T @ prob.p_y1)
+        q2 = prob.source.prior2 * (kernel.T @ prob.p_y2)
         value = float(np.minimum(q1, q2).sum())
-        lower = min(lower, float(np.where(regions[r], q2, q1).sum()) - outcome.gap)
+        lower = min(lower, float(np.where(regions[r], q2, q1).sum()) - cert["duality_gap"])
         if value < best_val:
-            best_val, best_K = value, outcome.kernel
+            best_val, best_K = value, kernel
     gap = max(best_val - lower, 0.0)
-    certificate = {
-        "method": "regions",
-        "iterations": iterations,
-        "duality_gap": gap,
-        "violated": None,
-        "regions_solved": solved,
-        "regions_pruned": count - solved,
-        "enumerated": count,
-        "notes": "minimum of the fixed-classifier solve over decision regions",
-    }
     status = SolveStatus.OPTIMAL if gap <= GENERAL_GAP_TOL else SolveStatus.ITERATION_LIMIT
-    return _result_from_kernel(prob, best_K, True, status, certificate)
+    notes = "minimum of the fixed-classifier solve over decision regions"
+    counters = {"regions_solved": solved, "regions_pruned": count - solved, "enumerated": count}
+    _, _, certificate = _outcome(status, best_K, "regions", iterations, notes, gap, **counters)
+    return _result(prob, best_K, True, status, certificate)
 
 
 def sweep_surface(

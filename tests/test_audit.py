@@ -89,6 +89,11 @@ class TestRunAudit:
         names = [r.name for r in report.results]
         assert len(set(names)) == len(names)
 
+    @pytest.mark.parametrize("trials, surface_trials", [(0, 1), (-3, 1), (25, 0)])
+    def test_suites_without_trials_rejected(self, trials, surface_trials):
+        with pytest.raises(ValueError, match="at least 1"):
+            run_audit(seed=1, trials=trials, surface_trials=surface_trials)
+
     def test_reports_are_reproducible(self):
         a = run_audit(seed=5, trials=25, surface_trials=1).to_dict()
         b = run_audit(seed=5, trials=25, surface_trials=1).to_dict()

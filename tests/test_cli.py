@@ -107,6 +107,11 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"degrade": {"type": "rows", "rows": [[0.9, 0.2], [0.1, 0.9]]}})
         assert main(["audit", "--config", cfg, "--trials", "1"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_audit_without_trials_rejected(self, trials, capsys):
+        assert main(["audit", "--trials", trials, "--seed", "1"]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+
     def test_probe_size_cap_is_size_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"d_grid": [0.3], "p_grid": [0.2]})
         assert main(["probe-scdp-convexity", "--config", cfg, "--oracle-step", "0.0002"]) == EXIT_SIZE

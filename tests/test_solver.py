@@ -1,5 +1,6 @@
 """Tradeoff solvers: routing, feasibility, budgets, and hand-derivable anchors."""
 
+import importlib.machinery
 import math
 import os
 import pathlib
@@ -432,7 +433,8 @@ class TestSweepSurface:
 
 
 class TestLpPaths:
-    """Without scipy's HiGHS bindings the same LP arrays go through ``linprog``."""
+    """Every LP goes from ``_lp_model``'s column-wise arrays straight to HiGHS;
+    a dense replay through ``scipy.optimize.linprog`` checks those arrays."""
 
     @staticmethod
     def cells(rng):
@@ -457,7 +459,6 @@ class TestLpPaths:
         # Smooth divergences add cut rows and the epigraph column to the arrays.
         return out + smooth_cells(rng)
 
-    @pytest.mark.skipif(solver._highspy is None, reason="this scipy has no HiGHS bindings")
     def test_lp_solves_leave_scipy_optimize_unimported(self):
         # The bindings are loaded on their own: an LP solve needs none of the
         # ~550 modules (48 MB) a scipy.optimize import brings in.
@@ -480,59 +481,80 @@ class TestLpPaths:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert out.stdout.strip() == "[]"
 
-    def test_linprog_path_agrees_with_direct_highs(self, rng, monkeypatch):
+    def test_lp_models_agree_with_a_dense_linprog_replay(self, rng, monkeypatch):
+        # The reference rebuilds each model as dense matrices and solves it
+        # through scipy.optimize.linprog at the solver's tolerances,
+        # independently of the column-wise arrays the solver hands to HiGHS.
+        from scipy.optimize import linprog
+
         cells = self.cells(rng)
-        calls = []
+        models, calls = [], []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return linprog(*args, **kwargs)
+        def recorded(*args, **kwargs):
+            models.append(lp_model(*args, **kwargs))
+            return models[-1]
 
-        linprog = solver.linprog
-        monkeypatch.setattr(solver, "linprog", counted)
-        direct = [(solve_cdp(*c), solve_scdp(*c)) for c in cells]
+        lp_model = solver._lp_model
+        monkeypatch.setattr(solver, "_lp_model", recorded)
+        monkeypatch.setattr(solver, "linprog", lambda *args, **kwargs: calls.append(1))
+        results = [(solve_cdp(*c), solve_scdp(*c)) for c in cells]
         assert not calls
-        monkeypatch.setattr(solver, "_highspy", None)
-        fallback = [(solve_cdp(*c), solve_scdp(*c)) for c in cells]
-        assert calls
         violated, exits = set(), set()
-        for (prob, D, P), pair_a, pair_b in zip(cells, direct, fallback):
+        for (prob, D, P), pair in zip(cells, results):
             if prob.divergence != TV:
-                exits.add(cut_exit(pair_a[0]))
-            for a, b in zip(pair_a, pair_b):
-                assert a.status is b.status
-                assert a.certificate["violated"] == b.certificate["violated"]
-                violated.add(a.certificate["violated"])
-                if not a.ok:
-                    continue
-                assert abs(a.value - b.value) <= 1e-12
-                for r in (a, b):
+                exits.add(cut_exit(pair[0]))
+            for r in pair:
+                violated.add(r.certificate["violated"])
+                if r.ok:
                     assert r.achieved_distortion <= D + BUDGET_SLACK
                     if math.isfinite(P):
                         assert r.achieved_perception <= P + BUDGET_SLACK
         assert violated == {None, "distortion", "perception"}
         assert exits == {"infeasible", "epigraph", "pinned", "inactive"}
 
+        for model in models:
+            x, _ = solver._solve_lp(model)
+            A = np.zeros((len(model.row_lower), len(model.c)))
+            A[model.index, np.repeat(np.arange(len(model.c)), np.diff(model.start))] = model.value
+            eq = model.row_lower == model.row_upper
+            ref = linprog(
+                model.c,
+                A_ub=A[~eq],
+                b_ub=model.row_upper[~eq],
+                A_eq=A[eq],
+                b_eq=model.row_upper[eq],
+                bounds=np.column_stack((model.col_lower, model.col_upper)),
+                method="highs",
+                options={**solver._HIGHS_OPTIONS, "presolve": False},
+            )
+            assert ref.status in (0, 2), ref.message
+            assert (x is None) == (ref.status == 2)
+            if x is not None:
+                assert abs(model.c @ x - ref.fun) <= 1e-12
+
     def test_interior_point_retry_takes_over_from_a_stalled_simplex(self, rng, monkeypatch):
         # On some LPs with many steep cut rows the dual simplex stops outside
         # its primal tolerance; the retry solves the same arrays by interior point.
         cells = smooth_cells(rng)
         expected = [solve_cdp(*c) for c in cells]
-        for name in ("_highs_run", "_linprog_run"):
-            run = getattr(solver, name)
+        run = solver._highs_run
 
-            def stalled(model, tolerances, ipm, run=run):
-                return run(model, tolerances, ipm) if ipm else ("Unknown", None, 0)
+        def stalled(model, tolerances, ipm):
+            return run(model, tolerances, ipm) if ipm else ("Unknown", None, 0)
 
-            monkeypatch.setattr(solver, name, stalled)
-            if name == "_linprog_run":
-                monkeypatch.setattr(solver, "_highspy", None)
-            for (prob, D, P), want in zip(cells, expected):
-                got = solve_cdp(prob, D, P)
-                assert got.status is want.status
-                if got.ok:
-                    slack = got.certificate["duality_gap"] + want.certificate["duality_gap"]
-                    assert abs(got.value - want.value) <= slack + 1e-9
+        monkeypatch.setattr(solver, "_highs_run", stalled)
+        for (prob, D, P), want in zip(cells, expected):
+            got = solve_cdp(prob, D, P)
+            assert got.status is want.status
+            if got.ok:
+                slack = got.certificate["duality_gap"] + want.certificate["duality_gap"]
+                assert abs(got.value - want.value) <= slack + 1e-9
+
+    def test_missing_highs_bindings_name_the_scipy_floor(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+        with pytest.raises(ImportError, match=r"scipy>=1\.15"):
+            solver._load_highs()
 
 
 class TestRandomizedKernelProperties:
