@@ -400,8 +400,9 @@ def _surface_violations(table, convexity: bool) -> float:
     return worst
 
 
-def check_cdp_surface(rng: np.random.Generator, trials: int = 4) -> PropertyResult:
-    """Fixed-classifier surfaces are monotone in both budgets and midpoint-convex in D."""
+def _check_surface(rng: np.random.Generator, trials: int, which: str) -> PropertyResult:
+    """Sweep random instances on a fixed budget grid; only the fixed-classifier
+    surface is also held to midpoint convexity in D."""
     tol = 1e-9
     worst = 0.0
     for _ in range(trials):
@@ -409,37 +410,26 @@ def check_cdp_surface(rng: np.random.Generator, trials: int = 4) -> PropertyResu
         dmin = min_distortion(prob)
         d_grid = (dmin, dmin + 0.15, dmin + 0.3)
         p_grid = (0.02, 0.1, 0.4)
-        table = sweep_surface(prob, d_grid, p_grid, which="cdp")
-        worst = max(worst, _surface_violations(table, convexity=True))
+        table = sweep_surface(prob, d_grid, p_grid, which=which)
+        worst = max(worst, _surface_violations(table, convexity=which == "cdp"))
+    if which == "cdp":
+        name = "cdp_surface_monotone_convex"
+        detail = "surface rises along a budget axis or breaks midpoint convexity in D"
+    else:
+        name, detail = "scdp_surface_monotone", "strong surface rises along a budget axis"
     return PropertyResult(
-        name="cdp_surface_monotone_convex",
-        passed=worst <= tol,
-        trials=trials,
-        worst=worst,
-        tolerance=tol,
-        detail="surface rises along a budget axis or breaks midpoint convexity in D",
+        name=name, passed=worst <= tol, trials=trials, worst=worst, tolerance=tol, detail=detail
     )
+
+
+def check_cdp_surface(rng: np.random.Generator, trials: int = 4) -> PropertyResult:
+    """Fixed-classifier surfaces are monotone in both budgets and midpoint-convex in D."""
+    return _check_surface(rng, trials, "cdp")
 
 
 def check_scdp_surface(rng: np.random.Generator, trials: int = 4) -> PropertyResult:
     """Strong surfaces are monotone in both budgets."""
-    tol = 1e-9
-    worst = 0.0
-    for _ in range(trials):
-        prob = random_instance(rng)
-        dmin = min_distortion(prob)
-        d_grid = (dmin, dmin + 0.15, dmin + 0.3)
-        p_grid = (0.02, 0.1, 0.4)
-        table = sweep_surface(prob, d_grid, p_grid, which="scdp")
-        worst = max(worst, _surface_violations(table, convexity=False))
-    return PropertyResult(
-        name="scdp_surface_monotone",
-        passed=worst <= tol,
-        trials=trials,
-        worst=worst,
-        tolerance=tol,
-        detail="strong surface rises along a budget axis",
-    )
+    return _check_surface(rng, trials, "scdp")
 
 
 ALL_SUITES: tuple = (

@@ -210,7 +210,7 @@ def build_instance(raw: dict) -> ProblemInstance:
     source = _build_source(_get(raw, "source", "source"), "source")
     degrade = _build_degrade(_get(raw, "degrade", "degrade"), source, "degrade")
     restore_size = raw.get("restore_size", source.alphabet.size)
-    if not isinstance(restore_size, int) or restore_size < 1:
+    if not isinstance(restore_size, int) or isinstance(restore_size, bool) or restore_size < 1:
         raise ConfigError("restore_size", f"expected a positive integer, got {restore_size!r}")
     restore = Alphabet(restore_size)
     delta = _build_distortion(_get(raw, "distortion", "distortion"), source, restore, "distortion")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterator, Optional
 
@@ -56,18 +56,15 @@ def _batch_pushforward(kernels: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("byj,y->bj", kernels, weights)
 
 
-def _batch_fixed_error(kernels: np.ndarray, objective_weights: np.ndarray) -> np.ndarray:
-    return np.einsum("byj,yj->b", kernels, objective_weights)
+def _batch_linear(kernels: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Inner product <W, K> of each kernel in the batch with a (ny, nxh) weight matrix."""
+    return np.einsum("byj,yj->b", kernels, weights)
 
 
 def _batch_bayes_error(kernels: np.ndarray, prob: ProblemInstance) -> np.ndarray:
     q1 = _batch_pushforward(kernels, prob.p_y1)
     q2 = _batch_pushforward(kernels, prob.p_y2)
     return np.minimum(prob.source.prior1 * q1, prob.source.prior2 * q2).sum(axis=1)
-
-
-def _batch_distortion(kernels: np.ndarray, distortion_weights: np.ndarray) -> np.ndarray:
-    return np.einsum("byj,yj->b", kernels, distortion_weights)
 
 
 def _divergence_batch(kind: DivergenceKind, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -142,7 +139,7 @@ class KernelGrid:
     n_outputs: int  # rows of the kernel (degraded-alphabet size)
     n_restored: int  # columns (restoration-alphabet size)
 
-    @property
+    @cached_property
     def row_points(self) -> np.ndarray:
         return simplex_lattice(self.step, self.n_restored)
 
@@ -203,16 +200,6 @@ def _objective_slack(grid: KernelGrid, weights: np.ndarray) -> float:
     return float(r * 0.5 * ranges.sum())
 
 
-def _bayes_slack(grid: KernelGrid, prob: ProblemInstance) -> float:
-    """Bound on the Bayes-error change over row-wise lattice rounding.
-
-    The per-symbol minimum of the two class masses moves by at most the
-    larger of the two mass changes, which telescopes to the rounding radius
-    times the total class weights.
-    """
-    return float(grid.rounding_radius())
-
-
 def grid_search_cdp(
     prob: ProblemInstance, dist_budget: float, perc_budget: float, step: float
 ) -> OracleSearchResult:
@@ -225,32 +212,6 @@ def grid_search_scdp(
 ) -> OracleSearchResult:
     """Exhaustive lattice minimum of the Bayes error under both budgets."""
     return _grid_search(prob, dist_budget, perc_budget, step, strong=True)
-
-
-def _relaxed_perception_mask(
-    prob: ProblemInstance, batch: np.ndarray, perc_budget: float, radius: float
-) -> np.ndarray:
-    """Drift-relaxed perception test for one batch of lattice kernels.
-
-    Total variation admits an exact relaxation (the budget grows by the
-    pushforward drift).  The smooth divergences have no Lipschitz constant,
-    so each lattice marginal is pulled toward the source marginal by the
-    same drift radius before testing against the original budget; any
-    strictly feasible lattice point stays accepted (the pull can only lower
-    a convex divergence), and boundary-adjacent rounded points usually do.
-    """
-    kind = prob.divergence
-    p = prob.p_x
-    q = np.clip(_batch_pushforward(batch, prob.p_y), 0.0, None)
-    if kind.name == TOTAL_VARIATION:
-        vals = _divergence_batch(kind, p, q)
-        return vals <= perc_budget + radius / 2.0 + 1e-12
-    tv = 0.5 * np.abs(q - p[None, :]).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(tv > 0.0, np.minimum(1.0, (radius / 2.0) / tv), 1.0)
-    pulled = (1.0 - t)[:, None] * q + t[:, None] * p[None, :]
-    vals = _divergence_batch(kind, p, pulled)
-    return vals <= perc_budget + 1e-12
 
 
 def _grid_search(
@@ -267,30 +228,37 @@ def _grid_search(
             f"grid search would examine {total} kernels (cap {GRID_KERNEL_CAP}); "
             f"use a coarser step than {step}"
         )
-    use_perception = math.isfinite(perc_budget)
+    kind = prob.divergence
+    p = prob.p_x
     radius = grid.rounding_radius()
-    G = prob.distortion_weights
-    dist_drift = radius * 0.5 * float((G.max(axis=1) - G.min(axis=1)).sum())
+    dist_drift = _objective_slack(grid, prob.distortion_weights)
     best_val = math.inf
     best_kernel = None
     relaxed_val = math.inf
     feasible_count = 0
-    evaluated = 0
     for batch in grid.batches():
-        evaluated += batch.shape[0]
-        dist = _batch_distortion(batch, G)
+        dist = _batch_linear(batch, prob.distortion_weights)
         strict = dist <= dist_budget + 1e-12
         relaxed = dist <= dist_budget + dist_drift + 1e-12
-        if use_perception:
-            perc = _divergence_batch(
-                prob.divergence, prob.p_x, np.clip(_batch_pushforward(batch, prob.p_y), 0.0, None)
-            )
+        if math.isfinite(perc_budget):
+            q = np.clip(_batch_pushforward(batch, prob.p_y), 0.0, None)
+            perc = _divergence_batch(kind, p, q)
             strict &= perc <= perc_budget + 1e-12
-            relaxed &= _relaxed_perception_mask(prob, batch, perc_budget, radius)
-        if strong:
-            vals = _batch_bayes_error(batch, prob)
-        else:
-            vals = _batch_fixed_error(batch, prob.objective_weights)
+            # Rounding moves q by at most radius/2 in TV, so the TV relaxation
+            # is exact.  Smooth divergences have no Lipschitz constant: pull q
+            # toward p_X by that distance and test the original budget.  The
+            # pull only lowers a convex divergence, so strictly feasible points
+            # stay accepted, and boundary-adjacent rounded points usually do.
+            if kind.name == TOTAL_VARIATION:
+                relaxed &= perc <= perc_budget + radius / 2.0 + 1e-12
+            else:
+                with np.errstate(divide="ignore"):  # q == p_X divides to inf: t = 1
+                    t = np.minimum(1.0, (radius / 2.0) / (0.5 * np.abs(q - p).sum(axis=1)))[:, None]
+                relaxed &= _divergence_batch(kind, p, (1.0 - t) * q + t * p) <= perc_budget + 1e-12
+                del t
+            # Held into the next batch, q and t fragment the heap and raise peak RSS.
+            del q
+        vals = _batch_bayes_error(batch, prob) if strong else _batch_linear(batch, prob.objective_weights)
         count = int(strict.sum())
         if count:
             feasible_count += count
@@ -300,29 +268,21 @@ def _grid_search(
                 best_kernel = batch[idx].copy()
         if relaxed.any():
             relaxed_val = min(relaxed_val, float(vals[relaxed].min()))
-    slack = _bayes_slack(grid, prob) if strong else _objective_slack(grid, prob.objective_weights)
-    if best_kernel is None:
-        return OracleSearchResult(
-            value=math.nan,
-            status=SolveStatus.INFEASIBLE,
-            kernel=None,
-            lipschitz_slack=slack,
-            feasible_count=0,
-            evaluated_count=evaluated,
-            step=step,
-            relaxed_value=relaxed_val if math.isfinite(relaxed_val) else math.nan,
-        )
-    if math.isfinite(relaxed_val):
+    # The Bayes error's per-symbol minimum of the class masses moves by at most
+    # the larger mass change, which telescopes to the rounding radius.
+    slack = radius if strong else _objective_slack(grid, prob.objective_weights)
+    found = best_kernel is not None
+    if found and math.isfinite(relaxed_val):
         slack += max(0.0, best_val - relaxed_val)
     return OracleSearchResult(
-        value=best_val,
-        status=SolveStatus.OPTIMAL,
-        kernel=Channel(prob.degrade.output, prob.restore_alphabet, best_kernel),
+        value=best_val if found else math.nan,
+        status=SolveStatus.OPTIMAL if found else SolveStatus.INFEASIBLE,
+        kernel=Channel(prob.degrade.output, prob.restore_alphabet, best_kernel) if found else None,
         lipschitz_slack=slack,
         feasible_count=feasible_count,
-        evaluated_count=evaluated,
+        evaluated_count=total,
         step=step,
-        relaxed_value=relaxed_val,
+        relaxed_value=relaxed_val if math.isfinite(relaxed_val) else math.nan,
     )
 
 

@@ -251,7 +251,8 @@ class SurfaceTable:
     cells: tuple  # tuple of tuples of TradeoffResult
 
     def value_matrix(self) -> np.ndarray:
-        """Values as a float matrix with NaN at non-optimal cells."""
+        """Values as a float matrix with NaN at ``Infeasible`` cells; an
+        ``IterationLimit`` cell keeps its value, NaN only when it has no kernel."""
         out = np.full((len(self.d_grid), len(self.p_grid)), np.nan)
         for i, row in enumerate(self.cells):
             for j, cell in enumerate(row):
@@ -386,7 +387,8 @@ def _lp_model(
 
 
 def _highs_run(model: _LpModel, tolerances: dict, ipm: bool) -> tuple:
-    """Solve on a fresh HiGHS instance: (status, x or None, simplex iterations)."""
+    """Solve on a fresh HiGHS instance: (status, x or None, simplex and
+    interior-point iterations)."""
     lp = _highspy.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = len(model.c)
     lp.num_row_ = lp.a_matrix_.num_row_ = len(model.row_lower)
@@ -410,7 +412,9 @@ def _highs_run(model: _LpModel, tolerances: dict, ipm: bool) -> tuple:
     highs.passModel(lp)
     highs.run()
     status = highs.getModelStatus()
-    iterations = max(int(highs.getInfoValue("simplex_iteration_count")[1]), 0)
+    iterations = sum(
+        max(int(highs.getInfoValue(name)[1]), 0) for name in ("simplex_iteration_count", "ipm_iteration_count")
+    )
     if status == _highspy.HighsModelStatus.kOptimal:
         return "optimal", np.array(highs.getSolution().col_value), iterations
     if status == _highspy.HighsModelStatus.kInfeasible:
@@ -419,7 +423,7 @@ def _highs_run(model: _LpModel, tolerances: dict, ipm: bool) -> tuple:
 
 
 def _solve_lp(model: _LpModel) -> tuple:
-    """(x, or None when infeasible; simplex iterations), retried once looser,
+    """(x, or None when infeasible; iterations), retried once looser,
     by interior point, if the simplex stalls."""
     iterations = 0
     for tolerances, ipm in ((_HIGHS_OPTIONS, False), (_HIGHS_FALLBACK, True)):
@@ -435,7 +439,7 @@ def _solve_kernel(
 ) -> tuple:
     """Solve the one LP, with the (slope, offset) pairs in ``cuts`` as cut rows:
     (x, the kernel cut out of x with solver dust clipped off and rows
-    renormalized, simplex iterations); x and the kernel are None when the LP
+    renormalized, iterations); x and the kernel are None when the LP
     is infeasible."""
     arrays = tuple(map(np.array, zip(*cuts))) if cuts else None
     x, iterations = _solve_lp(_lp_model(prob, cost, dist_budget, perc_budget, arrays))

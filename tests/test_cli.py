@@ -103,6 +103,12 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"seed": -1})
         assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
 
+    def test_bool_restore_size_rejected_by_name(self, tmp_path, capsys):
+        # JSON true is a Python int; it must not reach Alphabet as a size of 1.
+        cfg = write_config(tmp_path, {"restore_size": True})
+        assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+        assert "restore_size" in capsys.readouterr().err
+
     def test_audit_validates_config_before_running(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"degrade": {"type": "rows", "rows": [[0.9, 0.2], [0.1, 0.9]]}})
         assert main(["audit", "--config", cfg, "--trials", "1"]) == EXIT_CONFIG

@@ -232,3 +232,36 @@ class TestSolverOracleSandwich:
                 assert exact.value - exact.certificate["duality_gap"] <= grid.value + 1e-12
                 assert exact.value >= grid.value - grid.lipschitz_slack
         assert solved >= 4
+
+
+SEARCHES = (grid_search_cdp, grid_search_scdp)
+
+
+class TestRelaxedValue:
+    """The drift-relaxed pass whose minimum ``lipschitz_slack`` folds in."""
+
+    @pytest.mark.parametrize("search", SEARCHES, ids=lambda f: f.__name__)
+    def test_tv_relaxation_is_a_strict_search_at_widened_budgets(self, search):
+        # Under TV the relaxed pass widens D by the distortion's rounding drift
+        # and P by half the rounding radius, and changes nothing else.
+        for seed in range(4):
+            prob = binary_instance(np.random.default_rng(seed), TV)
+            D, P, step = min_distortion(prob) + 0.1, 0.05, 0.05
+            grid = KernelGrid(step, *prob.kernel_shape)
+            radius = grid.rounding_radius()
+            G = prob.distortion_weights
+            drift = radius * 0.5 * float((G.max(axis=1) - G.min(axis=1)).sum())
+            got = search(prob, D, P, step)
+            assert got.status is SolveStatus.OPTIMAL
+            assert got.relaxed_value == search(prob, D + drift, P + radius / 2.0, step).value
+            assert got.evaluated_count == grid.total_kernels
+
+    @pytest.mark.parametrize("kind", (TV, SMOOTH[0]), ids=lambda k: k.name)
+    @pytest.mark.parametrize("search", SEARCHES, ids=lambda f: f.__name__)
+    def test_relaxed_value_never_above_value(self, search, kind):
+        for seed in range(4):
+            prob = binary_instance(np.random.default_rng(seed), kind)
+            got = search(prob, min_distortion(prob) + 0.1, 0.05, 0.05)
+            assert got.status is SolveStatus.OPTIMAL
+            assert got.relaxed_value <= got.value
+            assert got.evaluated_count == KernelGrid(0.05, *prob.kernel_shape).total_kernels

@@ -546,6 +546,10 @@ class TestLpPaths:
         for (prob, D, P), want in zip(cells, expected):
             got = solve_cdp(prob, D, P)
             assert got.status is want.status
+            # Every LP here was solved by the retry, so its iterations are
+            # interior-point ones and must still be counted.
+            assert got.certificate["lp_solves"] > 0
+            assert got.certificate["iterations"] > 0
             if got.ok:
                 slack = got.certificate["duality_gap"] + want.certificate["duality_gap"]
                 assert abs(got.value - want.value) <= slack + 1e-9
