@@ -19,8 +19,18 @@ each rounded marginal toward the source marginal by the rounding radius
 before evaluating, which is a practical widening rather than a proof, so
 comparisons under those kinds should avoid razor-thin perception budgets.
 
-Everything here is deliberately naive: enumerate, evaluate in vectorized
-chunks, take the minimum.  No reuse of the solver's optimization paths, so a
+The search is still exhaustive: every lattice kernel is visited and the
+minimum taken.  It is evaluated from per-row tables, because every quantity
+it tests is a sum over kernel rows (``<G, K>``, ``<W, K>``, the restored
+marginal ``K^T p_Y`` and the two class masses of the Bayes error).  Each
+row's share at every lattice point is tabulated once per search.  Kernels are
+visited in blocks of leading-row "heads" crossed with runs of last-row
+points, which, flattened, is exactly the kernel order of
+``KernelGrid.batches``, so the first minimizer still wins.  A block's
+distortion is a head sum plus a last-row entry; only the kernels inside the
+relaxed distortion budget go on to have their marginal, divergence, masks
+and objective gathered from the tables, and no kernel is materialized except
+the one returned.  None of this reuses the solver's optimization paths, so a
 bug there cannot hide here.
 """
 
@@ -51,22 +61,6 @@ _CHUNK = 65536
 # ---------------------------------------------------------------------------
 
 
-def _batch_pushforward(kernels: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Apply a batch of kernels (B, ny, nxh) to a mass vector over y."""
-    return np.einsum("byj,y->bj", kernels, weights)
-
-
-def _batch_linear(kernels: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Inner product <W, K> of each kernel in the batch with a (ny, nxh) weight matrix."""
-    return np.einsum("byj,yj->b", kernels, weights)
-
-
-def _batch_bayes_error(kernels: np.ndarray, prob: ProblemInstance) -> np.ndarray:
-    q1 = _batch_pushforward(kernels, prob.p_y1)
-    q2 = _batch_pushforward(kernels, prob.p_y2)
-    return np.minimum(prob.source.prior1 * q1, prob.source.prior2 * q2).sum(axis=1)
-
-
 def _divergence_batch(kind: DivergenceKind, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Divergence of each row of ``q`` (B, n) from ``p`` (n,); +inf on support mismatch."""
     p = np.maximum(p, 0.0)
@@ -86,9 +80,11 @@ def _divergence_batch(kind: DivergenceKind, p: np.ndarray, q: np.ndarray) -> np.
         return 0.5 * np.sum((np.sqrt(q) - np.sqrt(p)[None, :]) ** 2, axis=1)
     alpha = kind.alpha
     if alpha > 1.0:
-        bad = (qs == 0.0).any(axis=1)
-        safe = np.maximum(qs, 1e-300)
-        totals = np.sum(ps[None, :] ** alpha * safe ** (1.0 - alpha), axis=1)
+        positive = qs > 0.0
+        bad = ~positive.all(axis=1)
+        # A zero entry's power would overflow; its row is set to inf below anyway.
+        powers = np.power(np.maximum(qs, 1e-300), 1.0 - alpha, out=np.zeros_like(qs), where=positive)
+        totals = np.sum(ps[None, :] ** alpha * powers, axis=1)
         vals = np.log(np.maximum(totals, 1e-300)) / (alpha - 1.0)
         vals[bad] = math.inf
     else:
@@ -97,6 +93,15 @@ def _divergence_batch(kind: DivergenceKind, p: np.ndarray, q: np.ndarray) -> np.
         totals = terms.sum(axis=1)
         vals = np.where(totals > 0.0, np.log(np.maximum(totals, 1e-300)) / (alpha - 1.0), math.inf)
     return np.maximum(vals, 0.0)
+
+
+def _kernel_sums(head: np.ndarray, last: np.ndarray, heads: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """Per kernel, its head's sum over the leading rows plus its last row's table entry.
+
+    ``np.take`` along axis 0, because fancy indexing of a (n, nxh) table is
+    several times slower at these sizes.
+    """
+    return np.take(head, heads, axis=0) + np.take(last, digits, axis=0)
 
 
 @lru_cache(maxsize=64)
@@ -232,52 +237,91 @@ def _grid_search(
     p = prob.p_x
     radius = grid.rounding_radius()
     dist_drift = _objective_slack(grid, prob.distortion_weights)
+    rows = grid.row_points
+    n = grid.points_per_row
+    # Every quantity tested below is a sum over kernel rows, so each row's share
+    # at each lattice point is tabulated once: (ny, n) for <G, K> and <W, K>,
+    # (ny, n, nxh) for the masses pushed forward to the restored alphabet.
+    tables = {"dist": prob.distortion_weights @ rows.T}
+    if math.isfinite(perc_budget):
+        tables["q"] = prob.p_y[:, None, None] * rows
+    if strong:
+        tables["q1"] = prob.p_y1[:, None, None] * rows
+        tables["q2"] = prob.p_y2[:, None, None] * rows
+    else:
+        tables["obj"] = prob.objective_weights @ rows.T
+    last = {name: table[-1] for name, table in tables.items()}
+    n_heads = n ** (ny - 1)
+    head_powers = n ** np.arange(ny - 2, -1, -1, dtype=np.int64)
+    heads_per_block = max(1, _CHUNK // n)
+    tail = min(n, _CHUNK)
     best_val = math.inf
-    best_kernel = None
+    best_digits = None
     relaxed_val = math.inf
     feasible_count = 0
-    for batch in grid.batches():
-        dist = _batch_linear(batch, prob.distortion_weights)
-        strict = dist <= dist_budget + 1e-12
-        relaxed = dist <= dist_budget + dist_drift + 1e-12
-        if math.isfinite(perc_budget):
-            q = np.clip(_batch_pushforward(batch, prob.p_y), 0.0, None)
-            perc = _divergence_batch(kind, p, q)
-            strict &= perc <= perc_budget + 1e-12
-            # Rounding moves q by at most radius/2 in TV, so the TV relaxation
-            # is exact.  Smooth divergences have no Lipschitz constant: pull q
-            # toward p_X by that distance and test the original budget.  The
-            # pull only lowers a convex divergence, so strictly feasible points
-            # stay accepted, and boundary-adjacent rounded points usually do.
-            if kind.name == TOTAL_VARIATION:
-                relaxed &= perc <= perc_budget + radius / 2.0 + 1e-12
+    # A kernel's index is its head index (leading rows) times n plus its last
+    # row's digit, so a block of heads crossed with a run of last-row digits,
+    # flattened, is a run of kernels in the order of KernelGrid.batches.
+    for h0 in range(0, n_heads, heads_per_block):
+        heads = np.arange(h0, min(h0 + heads_per_block, n_heads), dtype=np.int64)
+        head_digits = (heads[:, None] // head_powers[None, :]) % n
+        head = {name: table[np.arange(ny - 1), head_digits].sum(axis=1) for name, table in tables.items()}
+        for t0 in range(0, n, tail):
+            t1 = min(t0 + tail, n)
+            dist = (head["dist"][:, None] + last["dist"][None, t0:t1]).ravel()
+            # Both masks lie inside the relaxed distortion budget, so every
+            # other quantity is built only for the kernels that meet it.
+            keep = np.flatnonzero(dist <= dist_budget + dist_drift + 1e-12)
+            if not keep.size:
+                continue
+            hi, ti = np.divmod(keep, t1 - t0)
+            ti += t0
+            strict = dist[keep] <= dist_budget + 1e-12
+            relaxed = np.ones(keep.size, dtype=bool)
+            if "q" in tables:
+                q = np.clip(_kernel_sums(head["q"], last["q"], hi, ti), 0.0, None)
+                perc = _divergence_batch(kind, p, q)
+                strict &= perc <= perc_budget + 1e-12
+                # Rounding moves q by at most radius/2 in TV, so the TV relaxation
+                # is exact.  Smooth divergences have no Lipschitz constant: pull q
+                # toward p_X by that distance and test the original budget.  The
+                # pull only lowers a convex divergence, so strictly feasible points
+                # stay accepted, and boundary-adjacent rounded points usually do.
+                if kind.name == TOTAL_VARIATION:
+                    relaxed &= perc <= perc_budget + radius / 2.0 + 1e-12
+                else:
+                    with np.errstate(divide="ignore"):  # q == p_X divides to inf: t = 1
+                        t = np.minimum(1.0, (radius / 2.0) / (0.5 * np.abs(q - p).sum(axis=1)))[:, None]
+                    relaxed &= _divergence_batch(kind, p, (1.0 - t) * q + t * p) <= perc_budget + 1e-12
+                    del t
+                # Held into the next block, q and t fragment the heap and raise peak RSS.
+                del q
+            if strong:
+                q1 = _kernel_sums(head["q1"], last["q1"], hi, ti)
+                q2 = _kernel_sums(head["q2"], last["q2"], hi, ti)
+                vals = np.minimum(prob.source.prior1 * q1, prob.source.prior2 * q2).sum(axis=1)
+                del q1, q2
             else:
-                with np.errstate(divide="ignore"):  # q == p_X divides to inf: t = 1
-                    t = np.minimum(1.0, (radius / 2.0) / (0.5 * np.abs(q - p).sum(axis=1)))[:, None]
-                relaxed &= _divergence_batch(kind, p, (1.0 - t) * q + t * p) <= perc_budget + 1e-12
-                del t
-            # Held into the next batch, q and t fragment the heap and raise peak RSS.
-            del q
-        vals = _batch_bayes_error(batch, prob) if strong else _batch_linear(batch, prob.objective_weights)
-        count = int(strict.sum())
-        if count:
-            feasible_count += count
-            idx = int(np.flatnonzero(strict)[vals[strict].argmin()])
-            if vals[idx] < best_val:
-                best_val = float(vals[idx])
-                best_kernel = batch[idx].copy()
-        if relaxed.any():
-            relaxed_val = min(relaxed_val, float(vals[relaxed].min()))
+                vals = _kernel_sums(head["obj"], last["obj"], hi, ti)
+            count = int(strict.sum())
+            if count:
+                feasible_count += count
+                idx = int(np.flatnonzero(strict)[vals[strict].argmin()])
+                if vals[idx] < best_val:
+                    best_val = float(vals[idx])
+                    best_digits = np.append(head_digits[hi[idx]], ti[idx])
+            if relaxed.any():
+                relaxed_val = min(relaxed_val, float(vals[relaxed].min()))
     # The Bayes error's per-symbol minimum of the class masses moves by at most
     # the larger mass change, which telescopes to the rounding radius.
     slack = radius if strong else _objective_slack(grid, prob.objective_weights)
-    found = best_kernel is not None
+    found = best_digits is not None
     if found and math.isfinite(relaxed_val):
         slack += max(0.0, best_val - relaxed_val)
     return OracleSearchResult(
         value=best_val if found else math.nan,
         status=SolveStatus.OPTIMAL if found else SolveStatus.INFEASIBLE,
-        kernel=Channel(prob.degrade.output, prob.restore_alphabet, best_kernel) if found else None,
+        kernel=Channel(prob.degrade.output, prob.restore_alphabet, rows[best_digits]) if found else None,
         lipschitz_slack=slack,
         feasible_count=feasible_count,
         evaluated_count=total,

@@ -1,6 +1,7 @@
 """Lattice oracle: enumeration counts, slack semantics, solver cross-checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cdptradeoff import (
     ProblemInstance,
     SizeError,
     SolveStatus,
+    audit,
     bayes_error,
     min_distortion,
     solve_cdp,
@@ -23,6 +25,7 @@ from cdptradeoff import (
 )
 from cdptradeoff.oracle import (
     KernelGrid,
+    _divergence_batch,
     enumerate_deterministic_kernels,
     grid_search_cdp,
     grid_search_scdp,
@@ -158,15 +161,17 @@ class TestFrozenOracleValues:
     """Lattice minima on the shipped instances, frozen from oracle runs.
 
     These pin the oracle itself: if enumeration, masking, or slack
-    bookkeeping drifts, these exact lattice values move.
+    bookkeeping drifts, these exact lattice values or feasible counts move.
     """
 
     def test_symmetric_instance(self, canonical_problem):
         prob = canonical_problem()
         got = grid_search_cdp(prob, 0.3, 0.2, step=0.05)
         assert got.value == pytest.approx(0.26, abs=1e-12)
+        assert got.feasible_count == 62
         got_s = grid_search_scdp(prob, 0.3, 0.2, step=0.05)
         assert got_s.value == pytest.approx(0.26, abs=1e-12)
+        assert got_s.feasible_count == 62
 
     def test_asymmetric_instance(self):
         src = MixtureSource.from_masses(0.3, 0.7, [0.9, 0.1], [0.25, 0.75])
@@ -176,8 +181,10 @@ class TestFrozenOracleValues:
         prob = ProblemInstance(src, deg, src.alphabet, delta, TV, cls)
         got = grid_search_cdp(prob, 0.25, 0.15, step=0.05)
         assert got.value == pytest.approx(0.6244875, abs=1e-12)
+        assert got.feasible_count == 15
         got_s = grid_search_scdp(prob, 0.25, 0.15, step=0.05)
         assert got_s.value == pytest.approx(0.3, abs=1e-12)
+        assert got_s.feasible_count == 15
 
     def test_skewed_kl_instance(self):
         src = MixtureSource.from_masses(0.5, 0.5, [0.8, 0.2], [0.3, 0.7])
@@ -187,8 +194,10 @@ class TestFrozenOracleValues:
         prob = ProblemInstance(src, deg, src.alphabet, delta, DivergenceKind.kullback_leibler(), cls)
         got = grid_search_cdp(prob, 0.3, 0.05, step=0.05)
         assert got.value == pytest.approx(0.59625, abs=1e-12)
+        assert got.feasible_count == 43
         got_s = grid_search_scdp(prob, 0.3, 0.05, step=0.05)
         assert got_s.value == pytest.approx(0.325, abs=1e-12)
+        assert got_s.feasible_count == 43
 
 
 def binary_instance(rng, kind):
@@ -265,3 +274,134 @@ class TestRelaxedValue:
             assert got.status is SolveStatus.OPTIMAL
             assert got.relaxed_value <= got.value
             assert got.evaluated_count == KernelGrid(0.05, *prob.kernel_shape).total_kernels
+
+
+class TestRenyiAboveOne:
+    def test_zero_marginal_entries_raise_no_overflow_warning(self):
+        # At D = inf the lattice holds deterministic kernels, whose restored
+        # marginals have zero entries; alpha = 3 used to overflow on them.
+        base = audit.random_instance(np.random.default_rng(1))
+        kind = DivergenceKind.renyi(3.0)
+        prob = ProblemInstance(base.source, base.degrade, base.restore_alphabet, base.delta, kind, base.classifier)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = grid_search_cdp(prob, math.inf, 0.05, step=0.1)
+            vals = _divergence_batch(kind, np.array([0.5, 0.5]), np.array([[0.0, 1.0], [0.25, 0.75]]))
+        assert got.status is SolveStatus.OPTIMAL
+        assert vals[0] == math.inf
+        assert vals[1] == pytest.approx(math.log(0.5**3 / 0.25**2 + 0.5**3 / 0.75**2) / 2.0, abs=1e-15)
+
+
+def naive_search(prob, D, P, step, strong):
+    """The lattice search evaluated kernel by kernel: every kernel of
+    ``KernelGrid.batches()`` is materialized and evaluated with plain einsums."""
+    grid = KernelGrid(step, *prob.kernel_shape)
+    radius = grid.rounding_radius()
+
+    def lipschitz(weights):
+        return radius * 0.5 * float((weights.max(axis=1) - weights.min(axis=1)).sum())
+
+    kind, p = prob.divergence, prob.p_x
+    drift = lipschitz(prob.distortion_weights)
+    best = relaxed_best = math.inf
+    feasible = 0
+    for batch in grid.batches():
+        dist = np.einsum("byj,yj->b", batch, prob.distortion_weights)
+        strict = dist <= D + 1e-12
+        relaxed = dist <= D + drift + 1e-12
+        if math.isfinite(P):
+            q = np.clip(np.einsum("byj,y->bj", batch, prob.p_y), 0.0, None)
+            perc = _divergence_batch(kind, p, q)
+            strict &= perc <= P + 1e-12
+            if kind.name == TV.name:
+                relaxed &= perc <= P + radius / 2.0 + 1e-12
+            else:
+                with np.errstate(divide="ignore"):
+                    t = np.minimum(1.0, (radius / 2.0) / (0.5 * np.abs(q - p).sum(axis=1)))[:, None]
+                relaxed &= _divergence_batch(kind, p, (1.0 - t) * q + t * p) <= P + 1e-12
+        if strong:
+            q1 = np.einsum("byj,y->bj", batch, prob.p_y1)
+            q2 = np.einsum("byj,y->bj", batch, prob.p_y2)
+            vals = np.minimum(prob.source.prior1 * q1, prob.source.prior2 * q2).sum(axis=1)
+        else:
+            vals = np.einsum("byj,yj->b", batch, prob.objective_weights)
+        feasible += int(strict.sum())
+        if strict.any():
+            best = min(best, float(vals[strict].min()))
+        if relaxed.any():
+            relaxed_best = min(relaxed_best, float(vals[relaxed].min()))
+    slack = radius if strong else lipschitz(prob.objective_weights)
+    if feasible and math.isfinite(relaxed_best):
+        slack += max(0.0, best - relaxed_best)
+    return best, relaxed_best, slack, feasible, grid.total_kernels
+
+
+def shaped_instance(rng, n_outputs, n_source, kind):
+    """Random instance whose restoration kernel is (n_outputs, n_source), with a random cost matrix."""
+    prior1 = float(rng.uniform(0.2, 0.8))
+    ones = np.ones(n_source)
+    src = MixtureSource.from_masses(prior1, 1.0 - prior1, rng.dirichlet(ones), rng.dirichlet(ones))
+    deg = Channel.from_rows(rng.dirichlet(np.ones(n_outputs), size=n_source))
+    cost = rng.uniform(0.0, 1.0, size=(n_source, n_source)) * (1.0 - np.eye(n_source))
+    delta = DistortionMatrix(src.alphabet, src.alphabet, cost)
+    cls = DecisionRegion.from_indices(src.alphabet, [int(rng.integers(0, n_source))])
+    return ProblemInstance(src, deg, src.alphabet, delta, kind, cls)
+
+
+class TestNaiveReference:
+    """The search agrees with kernel-by-kernel evaluation of the same lattice."""
+
+    # (kernel shape, step, perception budgets): the (1, 2) lattice has 70001
+    # points in its one row, more than one batch; (3, 3) spans two batches.
+    CASES = (
+        ((1, 2), 1.0 / 70000, (0.0, "interior", math.inf)),
+        ((2, 2), 0.02, (0.0, "interior", math.inf)),
+        ((3, 3), 0.125, (0.0, "interior", math.inf)),
+        ((3, 2), 0.02, (math.inf,)),
+    )
+    KINDS = (TV,) + SMOOTH[:3] + (DivergenceKind.renyi(3.0),)
+
+    def test_minimizer_past_the_first_run_of_a_long_row(self):
+        # A 70001-point row is visited in runs of at most 65536 last-row
+        # digits; the unique minimizer [1, 0] is the lattice's last point.
+        src = MixtureSource.from_masses(0.3, 0.7, [0.8, 0.2], [0.2, 0.8])
+        cls = DecisionRegion.from_indices(src.alphabet, [1])
+        deg = Channel.from_rows([[1.0], [1.0]])
+        prob = ProblemInstance(src, deg, src.alphabet, DistortionMatrix.hamming(src.alphabet), TV, cls)
+        got = grid_search_cdp(prob, math.inf, math.inf, step=1.0 / 70000)
+        assert got.value == pytest.approx(0.3, abs=1e-12)
+        assert_allclose(got.kernel.matrix, [[1.0, 0.0]])
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k.name}{k.alpha or ''}")
+    def test_matches_kernel_by_kernel_evaluation(self, kind):
+        rng = np.random.default_rng(11)
+        statuses = set()
+        for shape, step, budgets in self.CASES:
+            prob = shaped_instance(rng, *shape, kind)
+            for P in budgets:
+                P = float(rng.uniform(0.01, 0.2)) if P == "interior" else P
+                D = min_distortion(prob) + float(rng.uniform(0.0, 0.3))
+                for strong, search in ((False, grid_search_cdp), (True, grid_search_scdp)):
+                    value, relaxed, slack, feasible, total = naive_search(prob, D, P, step, strong)
+                    got = search(prob, D, P, step)
+                    statuses.add(got.status)
+                    assert got.status is (SolveStatus.OPTIMAL if feasible else SolveStatus.INFEASIBLE)
+                    assert (got.feasible_count, got.evaluated_count) == (feasible, total)
+                    assert got.lipschitz_slack == pytest.approx(slack, abs=1e-12)
+                    relaxed = relaxed if math.isfinite(relaxed) else math.nan
+                    assert got.relaxed_value == pytest.approx(relaxed, abs=1e-12, nan_ok=True)
+                    if not feasible:
+                        assert got.kernel is None and math.isnan(got.value)
+                        continue
+                    assert got.value == pytest.approx(value, abs=1e-12)
+                    K = got.kernel.matrix
+                    assert float(np.sum(prob.distortion_weights * K)) <= D + 1e-12
+                    if math.isfinite(P):
+                        assert _divergence_batch(kind, prob.p_x, (prob.p_y @ K)[None, :])[0] <= P + 1e-12
+                    if strong:
+                        q1, q2 = prob.p_y1 @ K, prob.p_y2 @ K
+                        attained = np.minimum(prob.source.prior1 * q1, prob.source.prior2 * q2).sum()
+                    else:
+                        attained = np.sum(prob.objective_weights * K)
+                    assert float(attained) == pytest.approx(got.value, abs=1e-12)
+        assert statuses == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE}
