@@ -37,7 +37,6 @@ from .metrics import (
 from .oracle import (
     KernelGrid,
     OracleSearchResult,
-    enumerate_deterministic_kernels,
     grid_search_cdp,
     grid_search_scdp,
     simplex_lattice,
@@ -91,7 +90,6 @@ __all__ = [
     "compose",
     "divergence",
     "dpi_equality_holds",
-    "enumerate_deterministic_kernels",
     "error_rate",
     "expected_distortion",
     "grid_search_cdp",

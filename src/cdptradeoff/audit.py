@@ -374,29 +374,32 @@ def check_distortion_linearity(rng: np.random.Generator, trials: int = DEFAULT_T
     )
 
 
+def midpoint_excess(d_grid, values: np.ndarray) -> np.ndarray:
+    """Midpoint-convexity excess along the distortion axis.
+
+    Entry ``[i, j]`` is ``values[i + 1, j] - (values[i, j] + values[i + 2, j]) / 2``
+    for the D triple ``d_grid[i : i + 3]`` and P column ``j``: positive when
+    the midpoint sits above the chord.  It is NaN where the triple is not
+    evenly spaced or any of its three values is NaN.
+    """
+    d = np.asarray(d_grid, dtype=float)
+    excess = values[1:-1] - 0.5 * (values[:-2] + values[2:])
+    even = np.abs((d[:-2] + d[2:]) / 2.0 - d[1:-1]) <= 1e-12
+    excess[~even] = np.nan
+    return excess
+
+
 def _surface_violations(table, convexity: bool) -> float:
     """Worst monotonicity (and optional distortion-axis convexity) violation."""
-    worst = 0.0
     vals = table.value_matrix()
-    nd, npp = vals.shape
-    for i in range(nd):
-        for j in range(npp):
-            if math.isnan(vals[i, j]):
-                continue
-            if i + 1 < nd and not math.isnan(vals[i + 1, j]):
-                worst = max(worst, vals[i + 1, j] - vals[i, j])
-            if j + 1 < npp and not math.isnan(vals[i, j + 1]):
-                worst = max(worst, vals[i, j + 1] - vals[i, j])
+    terms = [np.diff(vals, axis=0), np.diff(vals, axis=1)]
     if convexity:
-        d = np.asarray(table.d_grid)
-        for j in range(npp):
-            for i in range(nd - 2):
-                trio = vals[i : i + 3, j]
-                if np.isnan(trio).any():
-                    continue
-                if abs((d[i] + d[i + 2]) / 2.0 - d[i + 1]) > 1e-12:
-                    continue
-                worst = max(worst, trio[1] - 0.5 * (trio[0] + trio[2]))
+        terms.append(midpoint_excess(table.d_grid, vals))
+    worst = 0.0
+    for term in terms:
+        finite = term[~np.isnan(term)]
+        if finite.size:
+            worst = max(worst, float(finite.max()))
     return worst
 
 

@@ -1,4 +1,4 @@
-"""Command-line front end: surface sweeps, property audits, oracle probes.
+"""Command-line front end: surface sweeps, property audits, convexity probes.
 
 Subcommands:
 
@@ -15,14 +15,14 @@ Subcommands:
     1 otherwise.
 
 ``probe-scdp-convexity``
-    Evaluate the strong surface on the config grids with the exhaustive
-    lattice oracle and report midpoint-convexity violations along the
-    distortion axis.  The strong surface has no convexity guarantee; the
-    probe reports evidence instead of judging, so it always exits 0 unless
-    the lattice would be too large (exit 4).
+    Solve the strong surface on the config grids and report the
+    midpoint-convexity violations along the distortion axis that exceed the
+    midpoint's certified duality gap.  The strong surface has no convexity
+    guarantee; the probe reports evidence instead of judging, so it exits 0
+    on any valid config.
 
 Exit codes: 0 success (and audit pass), 1 audit failure, 2 configuration
-error, 3 I/O error, 4 size cap exceeded.
+error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .audit import DEFAULT_SEED, DEFAULT_TRIALS, run_audit
+from .audit import DEFAULT_SEED, DEFAULT_TRIALS, midpoint_excess, run_audit
 from .classify import DecisionRegion, bayes_region
-from .errors import CdpError, ConfigError, SizeError
+from .errors import CdpError, ConfigError
 from .metrics import (
     HELLINGER,
     KULLBACK_LEIBLER,
@@ -49,15 +49,13 @@ from .metrics import (
     DistortionMatrix,
     DivergenceKind,
 )
-from .oracle import grid_search_scdp
 from .prob_core import Alphabet, Channel, MixtureSource
-from .solver import ProblemInstance, SolveStatus, sweep_surface
+from .solver import ProblemInstance, sweep_surface
 
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
-EXIT_SIZE = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,56 +349,45 @@ def cmd_audit(args) -> int:
 
 def cmd_probe_scdp_convexity(args) -> int:
     config = load_config(args.config)
-    step = args.oracle_step
-    values = {}
-    slacks = {}
-    slack = None
-    for d in config.d_grid:
-        for p in config.p_grid:
-            result = grid_search_scdp(config.instance, d, p, step)
-            slack = max(slack, result.lipschitz_slack) if slack is not None else result.lipschitz_slack
-            slacks[(d, p)] = result.lipschitz_slack
-            values[(d, p)] = result.value if result.status is SolveStatus.OPTIMAL else math.nan
+    table = sweep_surface(config.instance, config.d_grid, config.p_grid, "scdp")
+    values = table.value_matrix()
+    gaps = np.array(
+        [[cell.certificate.get("duality_gap") for cell in row] for row in table.cells], dtype=float
+    )
+    excess = midpoint_excess(config.d_grid, values)
     violations = []
     worst = 0.0
     d_grid = config.d_grid
-    for p in config.p_grid:
-        for i in range(len(d_grid) - 2):
-            lo, mid, hi = d_grid[i], d_grid[i + 1], d_grid[i + 2]
-            if abs((lo + hi) / 2.0 - mid) > 1e-12:
-                continue
-            v = (values[(lo, p)], values[(mid, p)], values[(hi, p)])
-            if any(math.isnan(x) for x in v):
-                continue
-            raw_excess = v[1] - 0.5 * (v[0] + v[2])
-            # Grid values overestimate the true minimum by at most the cell's
-            # slack and never undercut it, so only the midpoint's uncertainty
-            # can fake an excess; a violation counts once it clears that.
-            certified = raw_excess - slacks[(mid, p)] - 1e-9
-            worst = max(worst, certified)
-            if certified > 0.0:
-                violations.append(
-                    {
-                        "P": p,
-                        "d_lo": lo,
-                        "d_mid": mid,
-                        "d_hi": hi,
-                        "excess": raw_excess,
-                        "excess_beyond_slack": certified,
-                    }
-                )
+    for j, i in zip(*np.nonzero(~np.isnan(excess.T))):
+        # A solved value overestimates C_S by at most its certified gap and
+        # never undercuts it, so only the midpoint's gap can fake an excess;
+        # a violation counts once the excess clears that.
+        certified = float(excess[i, j] - gaps[i + 1, j] - 1e-9)
+        worst = max(worst, certified)
+        if certified > 0.0:
+            violations.append(
+                {
+                    "P": config.p_grid[j],
+                    "d_lo": d_grid[i],
+                    "d_mid": d_grid[i + 1],
+                    "d_hi": d_grid[i + 2],
+                    "excess": float(excess[i, j]),
+                    "excess_beyond_gap": certified,
+                }
+            )
     payload = {
-        "grid": {"D": list(d_grid), "P": list(config.p_grid), "step": step},
-        "lipschitz_slack": slack,
+        "grid": {"D": list(d_grid), "P": list(config.p_grid)},
+        "max_gap": None if np.isnan(gaps).all() else float(np.nanmax(gaps)),
         "cells": [
-            {"D": d, "P": p, "value": (None if math.isnan(v) else v)}
-            for (d, p), v in sorted(values.items())
+            {"D": d, "P": p, "value": (None if math.isnan(values[i, j]) else float(values[i, j]))}
+            for i, d in enumerate(d_grid)
+            for j, p in enumerate(config.p_grid)
         ],
         "violations": violations,
         "max_violation": worst,
         "note": (
             "the strong surface carries no convexity guarantee; positive "
-            "excess beyond slack exhibits an actual non-convexity"
+            "excess beyond the certified gap exhibits an actual non-convexity"
         ),
     }
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
@@ -431,10 +418,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_probe = sub.add_parser(
         "probe-scdp-convexity",
-        help="search for strong-surface convexity violations with the lattice oracle",
+        help="search for strong-surface convexity violations along the distortion axis",
     )
     p_probe.add_argument("--config", required=True, help="JSON problem description")
-    p_probe.add_argument("--oracle-step", type=float, default=0.1, help="lattice step (must divide 1)")
     p_probe.add_argument("--out", default="-", help="JSON destination (default stdout)")
     p_probe.set_defaults(func=cmd_probe_scdp_convexity)
 
@@ -449,9 +435,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except SizeError as err:
-        print(f"size cap exceeded: {err}", file=sys.stderr)
-        return EXIT_SIZE
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO

@@ -18,7 +18,7 @@ class InvalidMixtureError(CdpError, ValueError):
 
 
 class SizeError(CdpError, ValueError):
-    """An enumeration request exceeds the supported cardinality bound."""
+    """A lattice-oracle search would examine more kernels than its cap allows."""
 
 
 class ConfigError(CdpError, ValueError):

@@ -39,20 +39,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import SizeError
+from .errors import DimensionError, SizeError
 from .metrics import HELLINGER, KULLBACK_LEIBLER, TOTAL_VARIATION, DivergenceKind
-from .prob_core import Alphabet, Channel
+from .prob_core import Channel
 from .solver import ProblemInstance, SolveStatus
 
 # Hard ceiling on lattice kernels examined by one grid search.
 GRID_KERNEL_CAP = 10_000_000
-# Deterministic-kernel enumeration refuses above this count.
-DETERMINISTIC_CAP = 1_000_000
 _CHUNK = 65536
 
 
@@ -225,6 +222,10 @@ def _grid_search(
     for name, value in (("dist_budget", dist_budget), ("perc_budget", perc_budget)):
         if math.isnan(value) or value < 0.0:
             raise ValueError(f"{name} must be nonnegative (or +inf), got {value}")
+    if math.isfinite(perc_budget) and not prob.perception_defined():
+        raise DimensionError(
+            "perception constraint needs restoration and source alphabets of equal size"
+        )
     ny, nxh = prob.kernel_shape
     grid = KernelGrid(step=step, n_outputs=ny, n_restored=nxh)
     total = grid.total_kernels
@@ -329,18 +330,3 @@ def _grid_search(
         relaxed_value=relaxed_val if math.isfinite(relaxed_val) else math.nan,
     )
 
-
-def enumerate_deterministic_kernels(inputs: Alphabet, outputs: Alphabet) -> Iterator[Channel]:
-    """Yield every deterministic channel from ``inputs`` to ``outputs``.
-
-    There are ``outputs.size ** inputs.size`` of them; the enumeration
-    refuses to start above ``DETERMINISTIC_CAP``.
-    """
-    count = outputs.size**inputs.size
-    if count > DETERMINISTIC_CAP:
-        raise SizeError(
-            f"{count} deterministic kernels exceed the enumeration cap {DETERMINISTIC_CAP}"
-        )
-    eye = np.eye(outputs.size)
-    for assignment in product(range(outputs.size), repeat=inputs.size):
-        yield Channel(inputs, outputs, eye[list(assignment)])

@@ -314,8 +314,10 @@ def _lp_model(
 
     Columns: the kernel entries K[y, j] in row-major order, then one slack s_j
     per restored symbol when P is finite and there are no cuts, or the
-    epigraph column t in [0, P] when there are.  Rows, inequalities first as
-    ``linprog`` stacks them: <G, K> <= D when D is finite; either the slack
+    epigraph column t in [0, P] when there are.  Rows, inequalities first; the
+    order is kept fixed so HiGHS always gets the same model and so returns the
+    same optimal vertices (a reordered model can pivot to a different one):
+    <G, K> <= D when D is finite; either the slack
     rows (K^T p_Y)_j - s_j <= p_X[j], -(K^T p_Y)_j - s_j <= -p_X[j] and the
     total-variation row 0.5 * sum_j s_j <= P, or one row g_i . K^T p_Y - t <= h_i
     per cut of ``cuts = (g, h)``, divided by max(1, max |g_i|) to keep steep

@@ -124,7 +124,7 @@ def test_criterion_05_canonical_grid_monotone(acceptance, canonical_sweep):
     acceptance(
         5,
         "canonical 6x6 grid non-increasing in D and P, both surfaces",
-        statuses_ok and worst <= 1e-6 and elapsed < 30.0,
+        statuses_ok and worst <= 1e-9 and elapsed < 30.0,
         f"worst increase {worst:.2e}, sweep {elapsed:.1f}s",
     )
 
@@ -152,7 +152,7 @@ def test_criterion_06_cdp_midpoint_convexity(acceptance, canonical_sweep):
                     trio = (values[i1, j1], values[i2, j2], values[im, jm])
                     if any(math.isnan(v) for v in trio):
                         continue
-                    allowance = 1e-6 + 0.5 * gaps[i1, j1] + 0.5 * gaps[i2, j2] + gaps[im, jm]
+                    allowance = 1e-9 + 0.5 * gaps[i1, j1] + 0.5 * gaps[i2, j2] + gaps[im, jm]
                     excess = trio[2] - 0.5 * (trio[0] + trio[1]) - allowance
                     worst = max(worst, excess)
                     checked += 1

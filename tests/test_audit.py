@@ -14,6 +14,7 @@ from cdptradeoff.audit import (
     check_error_linearity,
     check_scdp_surface,
     equality_channel,
+    midpoint_excess,
     random_channel,
     random_mixture,
     run_audit,
@@ -73,6 +74,25 @@ class TestSuites:
         # On this key the strong surface once rose with the budget by 0.0117.
         res = check_scdp_surface(np.random.default_rng([18, 2, 7]), 4)
         assert res.passed, res.worst
+
+    def test_midpoint_excess_matches_a_triple_by_triple_scan(self, rng):
+        # Uneven D spacing and NaN cells both leave an entry NaN; every other
+        # entry is the same arithmetic as the scan, so it must agree exactly.
+        d_grid = (0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
+        values = rng.uniform(size=(len(d_grid), 3))
+        values[3, 1] = np.nan
+        got = midpoint_excess(d_grid, values)
+        assert got.shape == (len(d_grid) - 2, 3)
+        for i in range(len(d_grid) - 2):
+            for j in range(3):
+                trio = values[i : i + 3, j]
+                if np.isnan(trio).any() or abs((d_grid[i] + d_grid[i + 2]) / 2.0 - d_grid[i + 1]) > 1e-12:
+                    assert np.isnan(got[i, j])
+                else:
+                    assert got[i, j] == trio[1] - 0.5 * (trio[0] + trio[2])
+        assert np.isnan(got[1]).all()  # 0.2, 0.3, 0.5 is not evenly spaced
+        assert (~np.isnan(got)).sum() == 7
+        assert midpoint_excess((0.1, 0.2), values[:2]).shape == (0, 3)
 
     def test_result_dict_round_trips(self):
         res = check_closed_forms(np.random.default_rng(3), trials=10)

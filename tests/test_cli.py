@@ -13,11 +13,11 @@ from cdptradeoff.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
-    EXIT_SIZE,
     build_instance,
     load_config,
     main,
 )
+from cdptradeoff.oracle import grid_search_scdp
 
 CANONICAL = {
     "source": {"prior1": 0.5, "class1": [0.8, 0.2], "class2": [0.2, 0.8]},
@@ -118,10 +118,6 @@ class TestExitCodes:
         assert main(["audit", "--trials", trials, "--seed", "1"]) == EXIT_CONFIG
         assert capsys.readouterr().out == ""
 
-    def test_probe_size_cap_is_size_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"d_grid": [0.3], "p_grid": [0.2]})
-        assert main(["probe-scdp-convexity", "--config", cfg, "--oracle-step", "0.0002"]) == EXIT_SIZE
-
 
 class TestSweep:
     def test_csv_shape_and_header(self, tmp_path):
@@ -210,22 +206,67 @@ class TestAudit:
         assert json.loads(out.read_text())["seed"] == 7
 
 
+BINARY_BREAK = {
+    "source": {"prior1": 0.57, "class1": [0.52, 0.48], "class2": [0.99, 0.01]},
+    "degrade": {"type": "rows", "rows": [[0.24, 0.76], [0.75, 0.25]]},
+    "d_grid": [0.4, 0.45, 0.5],
+    "p_grid": [0.02],
+}
+
+
 class TestProbe:
     def test_schema_and_exit(self, tmp_path):
         cfg = write_config(tmp_path, {"d_grid": [0.1, 0.2, 0.3], "p_grid": [0.2]})
         out = tmp_path / "probe.json"
-        assert main(["probe-scdp-convexity", "--config", cfg, "--oracle-step", "0.1", "--out", str(out)]) == EXIT_OK
+        assert main(["probe-scdp-convexity", "--config", cfg, "--out", str(out)]) == EXIT_OK
         payload = json.loads(out.read_text())
-        assert set(payload) >= {"grid", "violations", "max_violation", "lipschitz_slack"}
-        assert payload["grid"]["D"] == [0.1, 0.2, 0.3]
+        assert set(payload) >= {"grid", "cells", "violations", "max_violation", "max_gap"}
+        assert payload["grid"] == {"D": [0.1, 0.2, 0.3], "P": [0.2]}
+        # Total variation is solved exactly: no gap above the region stop rule's.
+        assert 0.0 <= payload["max_gap"] <= 1e-12
 
     def test_single_point_grid_has_no_triples(self, tmp_path):
         cfg = write_config(tmp_path, {"d_grid": [0.2], "p_grid": [0.2]})
         out = tmp_path / "probe.json"
-        assert main(["probe-scdp-convexity", "--config", cfg, "--oracle-step", "0.1", "--out", str(out)]) == EXIT_OK
+        assert main(["probe-scdp-convexity", "--config", cfg, "--out", str(out)]) == EXIT_OK
         payload = json.loads(out.read_text())
         assert payload["violations"] == []
         assert payload["max_violation"] == 0.0
+
+    def test_reports_the_binary_convexity_break(self, tmp_path):
+        # C_S is 0.43, 0.43 and ~0.41566 at D = 0.40, 0.45 and 0.50: the
+        # midpoint sits ~7.17e-3 above the chord.
+        cfg = write_config(tmp_path, BINARY_BREAK)
+        out = tmp_path / "probe.json"
+        assert main(["probe-scdp-convexity", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        [violation] = payload["violations"]
+        assert (violation["d_lo"], violation["d_mid"], violation["d_hi"], violation["P"]) == (0.4, 0.45, 0.5, 0.02)
+        assert violation["excess"] == pytest.approx(7.17e-3, abs=1e-5)
+        assert payload["max_violation"] == pytest.approx(violation["excess_beyond_gap"])
+        # The exhaustive lattice confirms it independently of the solver: the
+        # midpoint's lattice value less its slack is a lower bound on C_S
+        # there, and the outer lattice values are upper bounds.
+        prob = load_config(cfg).instance
+        lo, mid, hi = (grid_search_scdp(prob, d, 0.02, step=0.001) for d in (0.4, 0.45, 0.5))
+        certified = mid.value - mid.lipschitz_slack - 0.5 * (lo.value + hi.value)
+        assert certified == pytest.approx(6.2e-3, abs=1e-4)
+
+    def test_runs_on_four_symbol_configs(self, tmp_path):
+        # Any lattice step fine enough to say anything overruns the oracle's
+        # kernel cap at this size; the solver has no such cap.
+        four = {
+            "source": {"prior1": 0.4, "class1": [0.4, 0.3, 0.2, 0.1], "class2": [0.1, 0.2, 0.3, 0.4]},
+            "degrade": {"type": "identity"},
+            "d_grid": [0.1, 0.2, 0.3],
+            "p_grid": [0.05, 0.2],
+        }
+        cfg = write_config(tmp_path, four)
+        out = tmp_path / "probe.json"
+        assert main(["probe-scdp-convexity", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert len(payload["cells"]) == 6
+        assert all(cell["value"] is not None for cell in payload["cells"])
 
 
 class TestDeterminism:

@@ -11,6 +11,7 @@ from cdptradeoff import (
     Alphabet,
     Channel,
     DecisionRegion,
+    DimensionError,
     DistortionMatrix,
     DivergenceKind,
     MixtureSource,
@@ -26,7 +27,6 @@ from cdptradeoff import (
 from cdptradeoff.oracle import (
     KernelGrid,
     _divergence_batch,
-    enumerate_deterministic_kernels,
     grid_search_cdp,
     grid_search_scdp,
     simplex_lattice,
@@ -86,19 +86,6 @@ class TestKernelGrid:
         assert KernelGrid(step=0.1, n_restored=4, n_outputs=2).rounding_radius() == pytest.approx(0.2)
 
 
-class TestDeterministicEnumeration:
-    @pytest.mark.parametrize("n_in,n_out,count", [(1, 3, 3), (2, 2, 4), (3, 2, 8)])
-    def test_counts(self, n_in, n_out, count):
-        kernels = list(enumerate_deterministic_kernels(Alphabet(n_in), Alphabet(n_out)))
-        assert len(kernels) == count
-        assert all(k.is_deterministic() for k in kernels)
-        assert len({tuple(k.matrix.ravel()) for k in kernels}) == count
-
-    def test_cap_enforced(self):
-        with pytest.raises(SizeError):
-            next(enumerate_deterministic_kernels(Alphabet(10), Alphabet(12)))
-
-
 @pytest.fixture
 def tiny_problem(canonical_problem):
     return canonical_problem()
@@ -126,6 +113,23 @@ class TestGridSearch:
         # 5001 lattice points per row, squared, overruns the ten-million cap.
         with pytest.raises(SizeError):
             grid_search_cdp(tiny_problem, math.inf, math.inf, step=0.0002)
+
+    @pytest.mark.parametrize("search", [grid_search_cdp, grid_search_scdp])
+    def test_finite_perception_needs_matching_alphabets(self, search):
+        # A 3-symbol source restored onto 2 symbols has no perception
+        # constraint; a finite P is the solver's DimensionError, not a
+        # broadcast failure, and P = inf still searches.
+        src = MixtureSource.from_masses(0.5, 0.5, [0.6, 0.3, 0.1], [0.1, 0.3, 0.6])
+        restore = Alphabet(2)
+        delta = DistortionMatrix(src.alphabet, restore, [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
+        prob = ProblemInstance(
+            src, Channel.identity(src.alphabet), restore, delta, TV, DecisionRegion.from_indices(restore, [0])
+        )
+        with pytest.raises(DimensionError):
+            solve_cdp(prob, math.inf, 0.1)
+        with pytest.raises(DimensionError):
+            search(prob, math.inf, 0.1, step=0.25)
+        assert search(prob, math.inf, math.inf, step=0.25).status is SolveStatus.OPTIMAL
 
     def test_refining_never_increases(self, tiny_problem):
         # Halving the step keeps every old lattice point, so the minimum can

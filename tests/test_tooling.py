@@ -1,16 +1,19 @@
 """Tooling that reaches into the library from outside: the benchmark's traced
-runs, and the import boundary that keeps the lattice oracle independent."""
+runs, the import boundary that keeps the lattice oracle independent, and the
+README's quickstart."""
 
 import ast
 import importlib.util
 import math
 import pathlib
+import re
 
 from cdptradeoff import solver
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
 ORACLE = ROOT / "src" / "cdptradeoff" / "oracle.py"
+README = ROOT / "README.md"
 
 
 def load_spans():
@@ -51,3 +54,11 @@ def test_oracle_imports_no_solver_or_metrics_code():
     from_metrics = imported.get("metrics", set())
     assert not {name for name in from_metrics if name.startswith("_")}
     assert not from_metrics & {"divergence", "expected_distortion"}
+
+
+def test_readme_quickstart_runs(capsys):
+    # The README's one ``python`` block is the library quickstart; run it as
+    # written so it cannot drift from the API.
+    [block] = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    exec(compile(block, str(README), "exec"), {"__name__": "readme_quickstart"})
+    assert capsys.readouterr().out.count("\n") >= 4
