@@ -50,7 +50,7 @@ from .metrics import (
     DivergenceKind,
 )
 from .prob_core import Alphabet, Channel, MixtureSource
-from .solver import ProblemInstance, sweep_surface
+from .solver import ProblemInstance, check_grid, sweep_surface
 
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
@@ -81,24 +81,21 @@ def _get(raw: dict, field: str, path: str):
 
 
 def _as_float(value, path: str) -> float:
+    """A config number; whether its value is allowed is for the object it builds to say."""
     try:
-        out = float(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ConfigError(path, f"expected a number, got {value!r}") from None
-    if math.isnan(out):
-        raise ConfigError(path, "NaN is not a valid value")
-    return out
 
 
 def _as_grid(value, path: str) -> tuple:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(path, "expected a non-empty list of numbers")
-    grid = tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(value))
-    if any(g < 0.0 for g in grid):
-        raise ConfigError(path, "budgets must be nonnegative")
-    if list(grid) != sorted(grid):
-        raise ConfigError(path, "grid must be sorted ascending")
-    return grid
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(path, "expected a list of numbers")
+    grid = [_as_float(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    try:
+        return check_grid(grid, path)
+    except ValueError as err:
+        raise ConfigError(path, str(err)) from None
 
 
 def _build_source(raw, path: str) -> MixtureSource:
@@ -241,11 +238,12 @@ def load_config(path: str) -> RunConfig:
     mode = raw.get("mode", "both")
     if mode not in ("cdp", "scdp", "both"):
         raise ConfigError("mode", f"expected 'cdp', 'scdp', or 'both', got {mode!r}")
-    if any(math.isfinite(p) for p in p_grid) and not instance.perception_defined():
-        raise ConfigError(
-            "p_grid",
-            "finite perception budgets need restoration and source alphabets of equal size",
-        )
+    try:
+        # The grids passed their check, so only the alphabet rule can fail, and
+        # an ascending p_grid holds a finite P exactly when p_grid[0] is finite.
+        instance.check_budgets(d_grid[0], p_grid[0])
+    except ValueError as err:
+        raise ConfigError("p_grid", str(err)) from None
     seed = raw.get("seed", DEFAULT_SEED)
     if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2**64):
         raise ConfigError("seed", f"expected an unsigned 64-bit integer, got {seed!r}")

@@ -86,19 +86,19 @@ def _divergence_arrays(kind: DivergenceKind, p: np.ndarray, q: np.ndarray) -> fl
         return float(np.sum(ps * np.log(ps / qs)))
     if kind.name == HELLINGER:
         return float(0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2))
-    # Renyi
+    # Renyi: the log of sum p^alpha q^(1-alpha), over the terms with q > 0, by
+    # log-sum-exp, so that no power overflows at any order.
     alpha = kind.alpha
     support = p > 0.0
     ps, qs = p[support], q[support]
-    if alpha > 1.0:
-        if np.any(qs == 0.0):
-            return math.inf
-        total = float(np.sum(ps**alpha * qs ** (1.0 - alpha)))
-    else:
-        total = float(np.sum(ps[qs > 0.0] ** alpha * qs[qs > 0.0] ** (1.0 - alpha)))
-        if total == 0.0:
-            return math.inf
-    value = math.log(total) / (alpha - 1.0)
+    if alpha > 1.0 and np.any(qs == 0.0):
+        return math.inf
+    ps, qs = ps[qs > 0.0], qs[qs > 0.0]
+    if not qs.size:
+        return math.inf
+    logs = alpha * np.log(ps) + (1.0 - alpha) * np.log(qs)
+    top = float(logs.max())
+    value = (top + math.log(float(np.sum(np.exp(logs - top))))) / (alpha - 1.0)
     # Rounding can nudge the sum past the exact value at p == q; clamp at 0.
     return max(value, 0.0)
 
@@ -120,12 +120,13 @@ def _divergence_gradient(kind: DivergenceKind, p: np.ndarray, q: np.ndarray) -> 
         return grad
     if kind.name == HELLINGER:
         return 0.5 * (1.0 - np.sqrt(p / qf))
-    alpha = kind.alpha
+    # -r / sum(r q) with r = (p/q)^alpha is unchanged by scaling r, so r is
+    # taken relative to its largest term and cannot overflow.
     ratio = np.zeros_like(q)
     support = p > 0.0
-    ratio[support] = (p[support] / qf[support]) ** alpha
-    total = float(np.sum(ratio * qf))
-    return -ratio / max(total, 1e-300)
+    ratio[support] = p[support] / qf[support]
+    ratio = (ratio / ratio.max()) ** kind.alpha
+    return -ratio / float(np.sum(ratio * qf))
 
 
 def divergence(kind: DivergenceKind, p: ProbVector, q: ProbVector) -> float:

@@ -43,7 +43,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import DimensionError, SizeError
+from .errors import SizeError
 from .metrics import HELLINGER, KULLBACK_LEIBLER, TOTAL_VARIATION, DivergenceKind
 from .prob_core import Channel
 from .solver import ProblemInstance, SolveStatus
@@ -75,20 +75,17 @@ def _divergence_batch(kind: DivergenceKind, p: np.ndarray, q: np.ndarray) -> np.
         return vals
     if kind.name == HELLINGER:
         return 0.5 * np.sum((np.sqrt(q) - np.sqrt(p)[None, :]) ** 2, axis=1)
+    # log sum p^alpha q^(1-alpha) over q > 0, by log-sum-exp so that no power
+    # overflows at any order; a row with no such term has log-sum -inf.
     alpha = kind.alpha
+    positive = qs > 0.0
+    with np.errstate(divide="ignore"):
+        logs = np.where(positive, alpha * np.log(ps)[None, :] + (1.0 - alpha) * np.log(qs), -np.inf)
+        top = logs.max(axis=1, keepdims=True)
+        top[~np.isfinite(top)] = 0.0
+        vals = (top[:, 0] + np.log(np.exp(logs - top).sum(axis=1))) / (alpha - 1.0)
     if alpha > 1.0:
-        positive = qs > 0.0
-        bad = ~positive.all(axis=1)
-        # A zero entry's power would overflow; its row is set to inf below anyway.
-        powers = np.power(np.maximum(qs, 1e-300), 1.0 - alpha, out=np.zeros_like(qs), where=positive)
-        totals = np.sum(ps[None, :] ** alpha * powers, axis=1)
-        vals = np.log(np.maximum(totals, 1e-300)) / (alpha - 1.0)
-        vals[bad] = math.inf
-    else:
-        mask = qs > 0.0
-        terms = np.where(mask, ps[None, :] ** alpha * np.maximum(qs, 1e-300) ** (1.0 - alpha), 0.0)
-        totals = terms.sum(axis=1)
-        vals = np.where(totals > 0.0, np.log(np.maximum(totals, 1e-300)) / (alpha - 1.0), math.inf)
+        vals[~positive.all(axis=1)] = math.inf
     return np.maximum(vals, 0.0)
 
 
@@ -219,13 +216,7 @@ def grid_search_scdp(
 def _grid_search(
     prob: ProblemInstance, dist_budget: float, perc_budget: float, step: float, strong: bool
 ) -> OracleSearchResult:
-    for name, value in (("dist_budget", dist_budget), ("perc_budget", perc_budget)):
-        if math.isnan(value) or value < 0.0:
-            raise ValueError(f"{name} must be nonnegative (or +inf), got {value}")
-    if math.isfinite(perc_budget) and not prob.perception_defined():
-        raise DimensionError(
-            "perception constraint needs restoration and source alphabets of equal size"
-        )
+    prob.check_budgets(dist_budget, perc_budget)
     ny, nxh = prob.kernel_shape
     grid = KernelGrid(step=step, n_outputs=ny, n_restored=nxh)
     total = grid.total_kernels

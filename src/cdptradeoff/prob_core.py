@@ -36,22 +36,35 @@ DRIFT_TOLERANCE = 1e-9
 NEGATIVE_TOLERANCE = 1e-12
 
 
-def _clean_mass(values, size: int, what: str) -> np.ndarray:
-    """Validate and renormalize a nonnegative vector meant to sum to one."""
+def _clean_mass(values, shape: tuple, what: str) -> np.ndarray:
+    """Validate and renormalize nonnegative masses meant to sum to one along the last axis.
+
+    A matrix is checked row by row and an error names its first bad row,
+    ``{what} row {i}``.  Rows are made C-contiguous, so each row's sum is the
+    same pairwise sum a lone vector of that row gets.
+    """
     arr = np.asarray(values, dtype=np.float64)
-    if arr.shape != (size,):
-        raise DimensionError(f"{what}: expected shape ({size},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidDistributionError(f"{what}: non-finite entries")
-    if np.any(arr < -NEGATIVE_TOLERANCE):
-        raise InvalidDistributionError(f"{what}: negative entries {arr.min():.3e}")
-    arr = np.clip(arr, 0.0, None)
-    total = float(arr.sum())
-    if abs(total - 1.0) > DRIFT_TOLERANCE:
+    if arr.shape != shape:
+        whole = what if len(shape) == 1 else f"{what} matrix"
+        raise DimensionError(f"{whole}: expected shape {shape}, got {arr.shape}")
+    arr = np.ascontiguousarray(arr)
+    clipped = np.maximum(arr, 0.0)
+    totals = clipped.sum(axis=-1, keepdims=True)
+    # NaN fails both tests, +inf the sum's and -inf the floor's.
+    ok = (arr.min(axis=-1) >= -NEGATIVE_TOLERANCE) & (np.abs(totals[..., 0] - 1.0) <= DRIFT_TOLERANCE)
+    if not ok.all():
+        i = int(ok.argmin())
+        row = arr.reshape(-1, shape[-1])[i]
+        name = what if len(shape) == 1 else f"{what} row {i}"
+        if not np.all(np.isfinite(row)):
+            raise InvalidDistributionError(f"{name}: non-finite entries")
+        if np.any(row < -NEGATIVE_TOLERANCE):
+            raise InvalidDistributionError(f"{name}: negative entries {row.min():.3e}")
+        total = float(totals.reshape(-1)[i])
         raise InvalidDistributionError(
-            f"{what}: entries sum to {total!r}, beyond drift tolerance {DRIFT_TOLERANCE}"
+            f"{name}: entries sum to {total!r}, beyond drift tolerance {DRIFT_TOLERANCE}"
         )
-    arr = arr / total
+    arr = clipped / totals
     arr.setflags(write=False)
     return arr
 
@@ -85,7 +98,7 @@ class ProbVector:
     mass: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mass", _clean_mass(self.mass, self.alphabet.size, "mass"))
+        object.__setattr__(self, "mass", _clean_mass(self.mass, (self.alphabet.size,), "mass"))
 
     @classmethod
     def uniform(cls, alphabet: Alphabet) -> "ProbVector":
@@ -114,26 +127,8 @@ class Channel:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.float64)
-        expected = (self.input.size, self.output.size)
-        if mat.shape != expected:
-            raise DimensionError(f"channel matrix: expected shape {expected}, got {mat.shape}")
-        # Every row at once, with _clean_mass's checks; C order makes each
-        # row's sum the same pairwise sum _clean_mass takes of a lone row.
-        mat = np.ascontiguousarray(mat)
-        clipped = np.clip(mat, 0.0, None)
-        totals = clipped.sum(axis=1)
-        bad = (
-            ~np.isfinite(mat).all(axis=1)
-            | (mat < -NEGATIVE_TOLERANCE).any(axis=1)
-            | (np.abs(totals - 1.0) > DRIFT_TOLERANCE)
-        )
-        if bad.any():
-            i = int(bad.argmax())
-            _clean_mass(mat[i], self.output.size, f"channel row {i}")  # raises, naming the first bad row
-        rows = clipped / totals[:, None]
-        rows.setflags(write=False)
-        object.__setattr__(self, "matrix", rows)
+        shape = (self.input.size, self.output.size)
+        object.__setattr__(self, "matrix", _clean_mass(self.matrix, shape, "channel"))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "Channel":

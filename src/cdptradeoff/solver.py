@@ -221,6 +221,15 @@ class ProblemInstance:
         """A perception constraint needs p_X and p_Xhat on equal-size alphabets."""
         return self.restore_alphabet.size == self.source.alphabet.size
 
+    def check_budgets(self, dist_budget: float, perc_budget: float) -> None:
+        """Reject a NaN or negative budget, and a finite perception budget
+        where p_X and p_Xhat live on alphabets of different sizes."""
+        for name, value in (("D", dist_budget), ("P", perc_budget)):
+            if math.isnan(value) or value < 0.0:
+                raise ValueError(f"{name} must be nonnegative (or +inf), got {value}")
+        if math.isfinite(perc_budget) and not self.perception_defined():
+            raise DimensionError("perception constraint needs restoration and source alphabets of equal size")
+
 
 @dataclass(frozen=True, eq=False, slots=True)
 class TradeoffResult:
@@ -290,7 +299,8 @@ class _LpModel(NamedTuple):
     Minimize ``c @ x`` subject to ``row_lower <= A @ x <= row_upper`` and
     ``col_lower <= x <= col_upper``, where column ``i`` of ``A`` holds the
     values ``value[start[i]:start[i + 1]]`` in the rows
-    ``index[start[i]:start[i + 1]]``.
+    ``index[start[i]:start[i + 1]]``.  The fields are in the order HiGHS's
+    array ``passModel`` takes them.
     """
 
     c: np.ndarray
@@ -391,19 +401,6 @@ def _lp_model(
 def _highs_run(model: _LpModel, tolerances: dict, ipm: bool) -> tuple:
     """Solve on a fresh HiGHS instance: (status, x or None, simplex and
     interior-point iterations)."""
-    lp = _highspy.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = len(model.c)
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(model.row_lower)
-    lp.a_matrix_.format_ = _highspy.MatrixFormat.kColwise
-    # The bindings copy Python lists into HiGHS's vectors faster than arrays.
-    lp.a_matrix_.start_ = model.start.tolist()
-    lp.a_matrix_.index_ = model.index.tolist()
-    lp.a_matrix_.value_ = model.value.tolist()
-    lp.col_cost_ = model.c.tolist()
-    lp.col_lower_ = model.col_lower.tolist()
-    lp.col_upper_ = model.col_upper.tolist()
-    lp.row_lower_ = model.row_lower.tolist()
-    lp.row_upper_ = model.row_upper.tolist()
     highs = _highspy._Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("presolve", "off")
@@ -411,7 +408,20 @@ def _highs_run(model: _LpModel, tolerances: dict, ipm: bool) -> tuple:
         highs.setOptionValue("solver", "ipm")
     for name, val in tolerances.items():
         highs.setOptionValue(name, val)
-    highs.passModel(lp)
+    n_col = len(model.c)
+    status = highs.passModel(
+        n_col,
+        len(model.row_lower),
+        len(model.value),
+        _highspy.MatrixFormat.kColwise,
+        _highspy.ObjSense.kMinimize,
+        0.0,
+        *model,
+        np.zeros(n_col, np.int32),  # every column continuous; an empty array is an error
+    )
+    # A warning reports matrix entries of size at most 1e-9, which HiGHS drops.
+    if status == _highspy.HighsStatus.kError:
+        raise RuntimeError("HiGHS rejected the linear program")
     highs.run()
     status = highs.getModelStatus()
     iterations = sum(
@@ -479,22 +489,16 @@ def _tangent_cut(prob: ProblemInstance, q: np.ndarray) -> tuple:
     """Slope g and offset h of the cut g . q' - t <= h from a tangent of d(p_X, .) near q.
 
     A tangent of the convex divergence is valid wherever it is taken.  KL and
-    Renyi slopes reach 1e300 as q_j -> 0, so q is pulled toward uniform, where
-    no slope exceeds |Xhat|, until no slope exceeds ``_CUT_SLOPE_CAP``.
+    Renyi slopes reach 1e300 as q_j -> 0, so q is pulled toward uniform until
+    no slope exceeds ``_CUT_SLOPE_CAP``; at the last pull, 0.5, every entry of
+    the point is at least 1/(2|Xhat|), and no slope exceeds 2|Xhat|.
     """
     kind, p = prob.divergence, prob.p_x
-    support = p > 0.0
-    # Points with p_j / point_j above this would overflow (p_j / point_j) ** alpha.
-    ratio = 1e300 ** (1.0 / max(kind.alpha or 1.0, 1.0))
     for pull in _CUT_PULLS:
         point = (1.0 - pull) * q + pull / q.size
-        if np.all(point[support] * ratio >= p[support]):
-            slope = _divergence_gradient(kind, p, point)
-            if np.abs(slope).max() <= _CUT_SLOPE_CAP:
-                break
-    else:
-        point = np.full_like(q, 1.0 / q.size)
         slope = _divergence_gradient(kind, p, point)
+        if np.abs(slope).max() <= _CUT_SLOPE_CAP:
+            break
     return slope, float(slope @ point) - _divergence_arrays(kind, p, point)
 
 
@@ -630,16 +634,6 @@ def _minimize_linear(prob: ProblemInstance, cost: np.ndarray, dist_budget: float
 # ---------------------------------------------------------------------------
 
 
-def _validate_budgets(prob: ProblemInstance, dist_budget: float, perc_budget: float):
-    for name, value in (("D", dist_budget), ("P", perc_budget)):
-        if math.isnan(value) or value < 0.0:
-            raise ValueError(f"{name} must be nonnegative (or +inf), got {value}")
-    if math.isfinite(perc_budget) and not prob.perception_defined():
-        raise DimensionError(
-            "perception constraint needs restoration and source alphabets of equal size"
-        )
-
-
 def _result(
     prob: ProblemInstance, kernel: Optional[np.ndarray], strong: bool, status: SolveStatus, certificate: dict
 ) -> TradeoffResult:
@@ -668,7 +662,7 @@ def solve_cdp(prob: ProblemInstance, dist_budget: float, perc_budget: float) -> 
     perception constraints; otherwise solved to a certified duality gap of
     ``GENERAL_GAP_TOL`` within ``CUT_ROUNDS`` rounds of tangent cuts.
     """
-    _validate_budgets(prob, dist_budget, perc_budget)
+    prob.check_budgets(dist_budget, perc_budget)
     status, kernel, certificate = _minimize_linear(prob, prob.objective_weights, dist_budget, perc_budget)
     return _result(prob, kernel, False, status, certificate)
 
@@ -690,7 +684,7 @@ def solve_scdp(prob: ProblemInstance, dist_budget: float, perc_budget: float) ->
     within ``GENERAL_GAP_TOL`` under the smooth divergences unless the status
     says ``IterationLimit``.
     """
-    _validate_budgets(prob, dist_budget, perc_budget)
+    prob.check_budgets(dist_budget, perc_budget)
     n = prob.restore_alphabet.size
     count = 2**n
     regions = (np.arange(count)[:, None] >> np.arange(n)[None, :]) & 1 == 1
@@ -723,6 +717,19 @@ def solve_scdp(prob: ProblemInstance, dist_budget: float, perc_budget: float) ->
     return _result(prob, best_K, True, status, certificate)
 
 
+def check_grid(values: Sequence[float], name: str) -> tuple:
+    """A budget grid as a tuple of floats: non-empty, free of NaN, nonnegative
+    and ascending (``inf`` allowed)."""
+    grid = tuple(float(g) for g in values)
+    if not grid:
+        raise ValueError(f"{name} must be non-empty")
+    if any(math.isnan(g) or g < 0.0 for g in grid):
+        raise ValueError(f"{name} entries must be nonnegative numbers, got {list(grid)}")
+    if list(grid) != sorted(grid):
+        raise ValueError(f"{name} must be sorted ascending, got {list(grid)}")
+    return grid
+
+
 def sweep_surface(
     prob: ProblemInstance,
     d_grid: Sequence[float],
@@ -737,15 +744,7 @@ def sweep_surface(
     """
     if which not in ("cdp", "scdp"):
         raise ValueError(f"which must be 'cdp' or 'scdp', got {which!r}")
-    d_grid = tuple(float(d) for d in d_grid)
-    p_grid = tuple(float(p) for p in p_grid)
-    if not d_grid or not p_grid:
-        raise ValueError("grids must be non-empty")
-    for name, grid in (("d_grid", d_grid), ("p_grid", p_grid)):
-        if any(math.isnan(g) or g < 0.0 for g in grid):
-            raise ValueError(f"{name} entries must be nonnegative")
-        if list(grid) != sorted(grid):
-            raise ValueError(f"{name} must be sorted ascending")
+    d_grid, p_grid = check_grid(d_grid, "d_grid"), check_grid(p_grid, "p_grid")
     solve = solve_cdp if which == "cdp" else solve_scdp
     cells = tuple(tuple(solve(prob, d, p) for p in p_grid) for d in d_grid)
     return SurfaceTable(mode=which, d_grid=d_grid, p_grid=p_grid, cells=cells)

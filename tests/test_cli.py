@@ -113,6 +113,53 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"degrade": {"type": "rows", "rows": [[0.9, 0.2], [0.1, 0.9]]}})
         assert main(["audit", "--config", cfg, "--trials", "1"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"d_grid": [0.1, "x"]}, "d_grid"),
+            ({"source": {"prior1": "half"}}, "source"),
+            ({"p_grid": ["nan"]}, "p_grid"),
+            ({"d_grid": []}, "d_grid"),
+            ({"d_grid": 0.2}, "d_grid"),
+            ({"p_grid": [-0.1, 0.2]}, "p_grid"),
+            ({"d_grid": [0.3, 0.1]}, "d_grid"),
+            ({"source": [0.5, 0.5]}, "source"),
+            ({"source": {"class1": [0.9, 0.2]}}, "source"),
+            ({"divergence": {"name": "renyi"}}, "divergence.alpha"),
+            ({"distortion": {"type": "matrix"}}, "distortion.cost"),
+            ({"distortion": {"type": "matrix", "cost": [[0, -1], [1, 0]]}}, "distortion"),
+            ({"degrade": "bsc"}, "degrade"),
+            ({"divergence": "total_variation"}, "divergence"),
+            ({"distortion": ["hamming"]}, "distortion"),
+            ({"classifier": 0}, "classifier"),
+            ({"source": {"class1": [0.5, 0.3, 0.2], "class2": [0.2, 0.3, 0.5]}}, "degrade"),
+            ({"degrade": {"type": "rows", "rows": [[1.0], [1.0], [1.0]]}}, "degrade"),
+            ({"degrade": {"type": "erasure"}}, "degrade.type"),
+            ({"distortion": {"type": "squared"}}, "distortion.type"),
+            ({"classifier": {"type": "nearest"}}, "classifier.type"),
+            ({"divergence": {"name": "renyi", "alpha": 1.0}}, "divergence"),
+            (
+                {
+                    "restore_size": 3,
+                    "distortion": {"type": "matrix", "cost": [[0, 1, 1], [1, 0, 1]]},
+                    "classifier": {"type": "bayes"},
+                },
+                "classifier",
+            ),
+            ({"classifier": {"indices": [5]}}, "classifier"),
+            (
+                {"restore_size": 3, "distortion": {"type": "matrix", "cost": [[0, 1, 1], [1, 0, 1]]}},
+                "p_grid",
+            ),
+        ],
+    )
+    def test_config_errors_exit_2_naming_the_field(self, tmp_path, capsys, overrides, field):
+        cfg = write_config(tmp_path, overrides)
+        assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {field}")
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_audit_without_trials_rejected(self, trials, capsys):
         assert main(["audit", "--trials", trials, "--seed", "1"]) == EXIT_CONFIG

@@ -1,6 +1,7 @@
 """Divergences and expected distortion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,20 @@ class TestDivergenceValues:
 
     def test_renyi_above_one_support_mismatch_is_inf(self):
         assert divergence(DivergenceKind.renyi(2.0), pv(0.5, 0.5), pv(1, 0)) == math.inf
+
+    @given(p=mass_strategy(4), q=mass_strategy(4))
+    @settings(max_examples=60, deadline=None)
+    def test_renyi_rises_with_order_to_the_max_log_ratio(self, p, q):
+        # D_alpha is nondecreasing in alpha with limit log max p/q; at high
+        # orders (p/q)^alpha overflows, so the sum is taken in the log domain.
+        a = Alphabet(4)
+        orders = (0.1, 0.5, 0.9, 1.1, 2.0, 5.0, 50.0, 1000.0, 5000.0, 1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [divergence(DivergenceKind.renyi(alpha), ProbVector(a, p), ProbVector(a, q)) for alpha in orders]
+        assert all(math.isfinite(v) for v in values)
+        assert all(hi >= lo - 1e-12 for lo, hi in zip(values, values[1:]))
+        assert values[-1] <= math.log(float(np.max(p / q))) + 1e-12
 
     def test_alphabet_mismatch_raises(self):
         with pytest.raises(DimensionError):

@@ -115,6 +115,12 @@ class TestGridSearch:
             grid_search_cdp(tiny_problem, math.inf, math.inf, step=0.0002)
 
     @pytest.mark.parametrize("search", [grid_search_cdp, grid_search_scdp])
+    @pytest.mark.parametrize("budgets", [(math.nan, 0.1), (-0.1, 0.1), (0.3, math.nan), (0.3, -1e-9)])
+    def test_rejects_nan_or_negative_budgets(self, tiny_problem, search, budgets):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            search(tiny_problem, *budgets, step=0.5)
+
+    @pytest.mark.parametrize("search", [grid_search_cdp, grid_search_scdp])
     def test_finite_perception_needs_matching_alphabets(self, search):
         # A 3-symbol source restored onto 2 symbols has no perception
         # constraint; a finite P is the solver's DimensionError, not a
@@ -294,6 +300,29 @@ class TestRenyiAboveOne:
         assert got.status is SolveStatus.OPTIMAL
         assert vals[0] == math.inf
         assert vals[1] == pytest.approx(math.log(0.5**3 / 0.25**2 + 0.5**3 / 0.75**2) / 2.0, abs=1e-15)
+
+    @pytest.mark.parametrize("alpha", [1000.0, 5000.0])
+    def test_high_orders_are_solved_and_searched(self, alpha):
+        # (p/q)^alpha overflows at these orders: the solver's cut slopes came
+        # out NaN and the lattice search's divergences NaN.
+        src = MixtureSource.from_masses(0.3, 0.7, [0.9, 0.1], [0.25, 0.75])
+        prob = ProblemInstance(
+            src,
+            Channel.bsc(0.1),
+            src.alphabet,
+            DistortionMatrix.hamming(src.alphabet),
+            DivergenceKind.renyi(alpha),
+            DecisionRegion.from_indices(src.alphabet, [1]),
+        )
+        for P in (0.02, 0.05, 0.2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = solve_cdp(prob, 0.3, P)
+                lattice = grid_search_cdp(prob, 0.3, P, step=0.02)
+            assert got.status is SolveStatus.OPTIMAL
+            assert got.achieved_perception <= P + 1e-8
+            assert lattice.status is SolveStatus.OPTIMAL
+            assert lattice.relaxed_value <= got.value <= lattice.value + 1e-9
 
 
 def naive_search(prob, D, P, step, strong):

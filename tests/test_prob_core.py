@@ -106,6 +106,10 @@ class TestChannel:
         assert ch.is_deterministic()
         assert_allclose(ch.matrix, [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(DimensionError, match=r"channel matrix: expected shape \(2, 3\), got \(3, 2\)"):
+            Channel(Alphabet(2), Alphabet(3), np.full((3, 2), 0.5))
+
     def test_from_rows_validates_each_row(self):
         with pytest.raises(InvalidDistributionError):
             Channel.from_rows([[0.5, 0.5], [0.9, 0.2]])
@@ -113,7 +117,7 @@ class TestChannel:
     @staticmethod
     def rows_one_by_one(mat):
         """The row-by-row validation Channel's vectorized checks must reproduce."""
-        return np.stack([_clean_mass(mat[i], mat.shape[1], f"channel row {i}") for i in range(mat.shape[0])])
+        return np.stack([_clean_mass(mat[i], (mat.shape[1],), f"channel row {i}") for i in range(mat.shape[0])])
 
     @staticmethod
     def stochastic(rng, m, n):

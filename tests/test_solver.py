@@ -100,6 +100,16 @@ class TestProblemInstance:
         with pytest.raises(DimensionError):
             ProblemInstance(canonical_source, Channel.bsc(0.1), canonical_source.alphabet, delta, TV, cls)
 
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_rejects_distortion_mismatch(self, canonical_source, side):
+        a2, a3 = canonical_source.alphabet, Alphabet(3)
+        delta = DistortionMatrix(a3, a2, np.ones((3, 2)))
+        if side == "target":
+            delta = DistortionMatrix(a2, a3, np.ones((2, 3)))
+        cls = DecisionRegion.from_indices(a2, [0])
+        with pytest.raises(DimensionError, match=f"distortion {side}"):
+            ProblemInstance(canonical_source, Channel.bsc(0.1), a2, delta, TV, cls)
+
     def test_objective_weights_reproduce_error_rate(self, canonical_problem, rng):
         prob = canonical_problem()
         for _ in range(20):
@@ -386,6 +396,8 @@ class TestSweepSurface:
             sweep_surface(prob, [0.3, 0.1], [0.1], "cdp")
         with pytest.raises(ValueError):
             sweep_surface(prob, [-0.1, 0.3], [0.1], "cdp")
+        with pytest.raises(ValueError):
+            sweep_surface(prob, [0.1], [math.nan], "cdp")
         with pytest.raises(ValueError):
             sweep_surface(prob, [0.1], [0.1], "nope")
 
