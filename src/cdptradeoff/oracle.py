@@ -30,8 +30,12 @@ points, which, flattened, is exactly the kernel order of
 distortion is a head sum plus a last-row entry; only the kernels inside the
 relaxed distortion budget go on to have their marginal, divergence, masks
 and objective gathered from the tables, and no kernel is materialized except
-the one returned.  None of this reuses the solver's optimization paths, so a
-bug there cannot hide here.
+the one returned.  The marginal, divergence and objective are evaluated one
+restored symbol at a time, over symbol-major tables, because NumPy broadcasts
+against and reduces a short last axis one row at a time: a loop over the few
+symbol columns, each step vectorized over the block's kernels, is several
+times faster.  None of this reuses the solver's optimization paths, so a bug
+there cannot hide here.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -58,44 +62,69 @@ _CHUNK = 65536
 # ---------------------------------------------------------------------------
 
 
+def _column_sum(columns: Iterable[np.ndarray]) -> np.ndarray:
+    """Sum of equal-length columns, added from left to right into the first, which must be a fresh array."""
+    columns = iter(columns)
+    total = next(columns)
+    for column in columns:
+        total += column
+    return total
+
+
+def _total_variation(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Total variation of each row of ``q`` (B, n) from ``p`` (n,), one column at a time."""
+    return 0.5 * _column_sum(np.abs(q[:, j] - p[j]) for j in range(p.size))
+
+
 def _divergence_batch(kind: DivergenceKind, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Divergence of each row of ``q`` (B, n) from ``p`` (n,); +inf on support mismatch."""
+    """Divergence of each row of ``q`` (B, n) from ``p`` (n,); +inf on support mismatch.
+
+    Evaluated one restored symbol at a time: each step takes one column of
+    ``q`` for the whole batch and adds its term into one accumulator, from
+    left to right.  NumPy's row sum adds from left to right too for rows of
+    up to 7 entries, so there every value equals the row-wise form's to the
+    last bit; from 8 entries on NumPy sums pairwise and the last bit may
+    differ.  ``q`` may be a transposed view of a symbol-major (n, B) array,
+    whose columns are then contiguous.
+    """
     p = np.maximum(p, 0.0)
     q = np.maximum(q, 0.0)
     if kind.name == TOTAL_VARIATION:
-        return 0.5 * np.abs(q - p[None, :]).sum(axis=1)
-    support = p > 0.0
-    ps = p[support]
-    qs = q[:, support]
-    if kind.name == KULLBACK_LEIBLER:
-        bad = (qs == 0.0).any(axis=1)
-        safe = np.maximum(qs, 1e-300)
-        vals = np.sum(ps[None, :] * np.log(ps[None, :] / safe), axis=1)
-        vals[bad] = math.inf
-        return vals
+        return _total_variation(p, q)
     if kind.name == HELLINGER:
-        return 0.5 * np.sum((np.sqrt(q) - np.sqrt(p)[None, :]) ** 2, axis=1)
+        root = np.sqrt(p)
+        return 0.5 * _column_sum((np.sqrt(q[:, j]) - root[j]) ** 2 for j in range(p.size))
+    support = np.flatnonzero(p > 0.0)
+    if kind.name == KULLBACK_LEIBLER:
+        vals = _column_sum(p[j] * np.log(p[j] / np.maximum(q[:, j], 1e-300)) for j in support)
+        for j in support:
+            vals[q[:, j] == 0.0] = math.inf
+        return vals
     # log sum p^alpha q^(1-alpha) over q > 0, by log-sum-exp so that no power
     # overflows at any order; a row with no such term has log-sum -inf.
     alpha = kind.alpha
-    positive = qs > 0.0
+    log_p = alpha * np.log(p[support])
     with np.errstate(divide="ignore"):
-        logs = np.where(positive, alpha * np.log(ps)[None, :] + (1.0 - alpha) * np.log(qs), -np.inf)
-        top = logs.max(axis=1, keepdims=True)
+        logs = [
+            np.where(q[:, j] > 0.0, lp + (1.0 - alpha) * np.log(q[:, j]), -np.inf) for lp, j in zip(log_p, support)
+        ]
+        top = np.max(logs, axis=0)
         top[~np.isfinite(top)] = 0.0
-        vals = (top[:, 0] + np.log(np.exp(logs - top).sum(axis=1))) / (alpha - 1.0)
+        vals = (top + np.log(_column_sum(np.exp(column - top) for column in logs))) / (alpha - 1.0)
     if alpha > 1.0:
-        vals[~positive.all(axis=1)] = math.inf
+        for j in support:
+            vals[q[:, j] == 0.0] = math.inf
     return np.maximum(vals, 0.0)
 
 
 def _kernel_sums(head: np.ndarray, last: np.ndarray, heads: np.ndarray, digits: np.ndarray) -> np.ndarray:
     """Per kernel, its head's sum over the leading rows plus its last row's table entry.
 
-    ``np.take`` along axis 0, because fancy indexing of a (n, nxh) table is
-    several times slower at these sizes.
+    Tables are (heads,) and (n,), or symbol-major (nxh, heads) and (nxh, n),
+    and are gathered along their last axis with ``np.take``, several times
+    faster than fancy indexing at these sizes.
     """
-    return np.take(head, heads, axis=0) + np.take(last, digits, axis=0)
+    return np.take(head, heads, axis=-1) + np.take(last, digits, axis=-1)
 
 
 @lru_cache(maxsize=64)
@@ -233,7 +262,9 @@ def _grid_search(
     n = grid.points_per_row
     # Every quantity tested below is a sum over kernel rows, so each row's share
     # at each lattice point is tabulated once: (ny, n) for <G, K> and <W, K>,
-    # (ny, n, nxh) for the masses pushed forward to the restored alphabet.
+    # (ny, n, nxh) for the masses pushed forward to the restored alphabet.  The
+    # per-block mass tables are kept symbol-major, (nxh, n) and (nxh, heads), so
+    # that each restored symbol's masses are gathered into one contiguous row.
     tables = {"dist": prob.distortion_weights @ rows.T}
     if math.isfinite(perc_budget):
         tables["q"] = prob.p_y[:, None, None] * rows
@@ -242,7 +273,7 @@ def _grid_search(
         tables["q2"] = prob.p_y2[:, None, None] * rows
     else:
         tables["obj"] = prob.objective_weights @ rows.T
-    last = {name: table[-1] for name, table in tables.items()}
+    last = {name: np.ascontiguousarray(table[-1].T) for name, table in tables.items()}
     n_heads = n ** (ny - 1)
     head_powers = n ** np.arange(ny - 2, -1, -1, dtype=np.int64)
     heads_per_block = max(1, _CHUNK // n)
@@ -257,7 +288,10 @@ def _grid_search(
     for h0 in range(0, n_heads, heads_per_block):
         heads = np.arange(h0, min(h0 + heads_per_block, n_heads), dtype=np.int64)
         head_digits = (heads[:, None] // head_powers[None, :]) % n
-        head = {name: table[np.arange(ny - 1), head_digits].sum(axis=1) for name, table in tables.items()}
+        head = {
+            name: np.ascontiguousarray(table[np.arange(ny - 1), head_digits].sum(axis=1).T)
+            for name, table in tables.items()
+        }
         for t0 in range(0, n, tail):
             t1 = min(t0 + tail, n)
             dist = (head["dist"][:, None] + last["dist"][None, t0:t1]).ravel()
@@ -271,8 +305,9 @@ def _grid_search(
             strict = dist[keep] <= dist_budget + 1e-12
             relaxed = np.ones(keep.size, dtype=bool)
             if "q" in tables:
-                q = np.clip(_kernel_sums(head["q"], last["q"], hi, ti), 0.0, None)
-                perc = _divergence_batch(kind, p, q)
+                # Sums of nonnegative table entries: _divergence_batch's clip is the only one needed.
+                q = _kernel_sums(head["q"], last["q"], hi, ti)
+                perc = _divergence_batch(kind, p, q.T)
                 strict &= perc <= perc_budget + 1e-12
                 # Rounding moves q by at most radius/2 in TV, so the TV relaxation
                 # is exact.  Smooth divergences have no Lipschitz constant: pull q
@@ -283,15 +318,17 @@ def _grid_search(
                     relaxed &= perc <= perc_budget + radius / 2.0 + 1e-12
                 else:
                     with np.errstate(divide="ignore"):  # q == p_X divides to inf: t = 1
-                        t = np.minimum(1.0, (radius / 2.0) / (0.5 * np.abs(q - p).sum(axis=1)))[:, None]
-                    relaxed &= _divergence_batch(kind, p, (1.0 - t) * q + t * p) <= perc_budget + 1e-12
-                    del t
+                        t = np.minimum(1.0, (radius / 2.0) / _total_variation(p, q.T))
+                    pulled = (1.0 - t) * q + t * p[:, None]
+                    relaxed &= _divergence_batch(kind, p, pulled.T) <= perc_budget + 1e-12
+                    del t, pulled
                 # Held into the next block, q and t fragment the heap and raise peak RSS.
                 del q
             if strong:
                 q1 = _kernel_sums(head["q1"], last["q1"], hi, ti)
                 q2 = _kernel_sums(head["q2"], last["q2"], hi, ti)
-                vals = np.minimum(prob.source.prior1 * q1, prob.source.prior2 * q2).sum(axis=1)
+                prior1, prior2 = prob.source.prior1, prob.source.prior2
+                vals = _column_sum(np.minimum(prior1 * q1[j], prior2 * q2[j]) for j in range(nxh))
                 del q1, q2
             else:
                 vals = _kernel_sums(head["obj"], last["obj"], hi, ti)

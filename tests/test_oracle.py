@@ -31,6 +31,7 @@ from cdptradeoff.oracle import (
     grid_search_scdp,
     simplex_lattice,
 )
+from cdptradeoff.metrics import _divergence_arrays
 
 TV = DivergenceKind.total_variation()
 SMOOTH = (
@@ -386,11 +387,15 @@ class TestNaiveReference:
 
     # (kernel shape, step, perception budgets): the (1, 2) lattice has 70001
     # points in its one row, more than one batch; (3, 3) spans two batches.
+    # The (2, 8) lattice has 1296 kernels of 8 restored symbols, where NumPy's
+    # row sums go pairwise and the search's column sums do not; its P = 0.6
+    # binds under TV, Hellinger and Renyi 0.5.
     CASES = (
         ((1, 2), 1.0 / 70000, (0.0, "interior", math.inf)),
         ((2, 2), 0.02, (0.0, "interior", math.inf)),
         ((3, 3), 0.125, (0.0, "interior", math.inf)),
         ((3, 2), 0.02, (math.inf,)),
+        ((2, 8), 0.5, (0.0, 0.6, math.inf)),
     )
     KINDS = (TV,) + SMOOTH[:3] + (DivergenceKind.renyi(3.0),)
 
@@ -438,3 +443,73 @@ class TestNaiveReference:
                         attained = np.sum(prob.objective_weights * K)
                     assert float(attained) == pytest.approx(got.value, abs=1e-12)
         assert statuses == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE}
+
+
+class TestDivergenceBatch:
+    """The batch divergence against the scalar one of ``metrics``, row by row."""
+
+    KINDS = (TV,) + SMOOTH[:2] + tuple(DivergenceKind.renyi(a) for a in (0.5, 2.0, 3.0, 1000.0))
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k.name}{k.alpha or ''}")
+    def test_matches_metrics_row_by_row(self, kind):
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 5):
+            q = rng.dirichlet(np.ones(n), size=400)
+            # Rows with one or more zero entries, vertices among them, and rows equal to p.
+            q[:100, 0] = 0.0
+            q[100:150, : n - 1] = 0.0
+            q /= q.sum(axis=1, keepdims=True)
+            q[150:150 + n] = np.eye(n)
+            p = rng.dirichlet(np.ones(n))
+            p_zero = p.copy()
+            p_zero[-1] = 0.0
+            p_zero /= p_zero.sum()
+            for pp in (p, p_zero):
+                batch = np.vstack([q, pp])
+                got = _divergence_batch(kind, pp, batch)
+                want = np.array([_divergence_arrays(kind, pp, row) for row in batch])
+                inf = np.isinf(want)
+                assert np.array_equal(np.isinf(got), inf)
+                assert_allclose(got[~inf], want[~inf], rtol=0.0, atol=1e-13)
+
+
+class TestFrozenSearchOutputs:
+    """Exact outputs of eight fixed-seed searches, pinned to the last bit.
+
+    Each case is (seed, search, divergence, alphabet size): the instance is
+    ``shaped_instance`` drawn from ``default_rng(seed)``, followed by an
+    interior D and P from the same generator.
+    """
+
+    STEP = {2: 0.01, 3: 0.125}
+    CASES = (
+        (0, grid_search_cdp, TV, 2, "0.4145373820288005", "0.40360609978925877", "0.01328189271223584", 617,
+         [[0.38, 0.62], [0.81, 0.19]]),
+        (1, grid_search_scdp, TV, 3, "0.4496869528172004", "0.4496869528172003", "0.1875000000000001", 48,
+         [[0.0, 1.0, 0.0], [0.25, 0.0, 0.75], [0.0, 1.0, 0.0]]),
+        (2, grid_search_cdp, SMOOTH[0], 3, "0.37677946424248054", "0.36687337239603524", "0.03672472674339722",
+         27277, [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.75, 0.0, 0.25]]),
+        (3, grid_search_scdp, SMOOTH[0], 2, "0.2513895002861746", "0.2513895002861746", "0.01", 4857,
+         [[0.0, 1.0], [0.69, 0.31]]),
+        (4, grid_search_cdp, SMOOTH[1], 2, "0.571177187834961", "0.5685287471285903", "0.005306777339804921", 3079,
+         [[0.54, 0.46], [0.01, 0.99]]),
+        (5, grid_search_scdp, SMOOTH[1], 3, "0.31699824575277175", "0.31699824575277175", "0.1875", 19878,
+         [[0.0, 0.75, 0.25], [0.625, 0.375, 0.0], [0.0, 0.625, 0.375]]),
+        (6, grid_search_cdp, SMOOTH[3], 3, "0.5097916572051319", "0.5039734850469206", "0.010251940854934511",
+         3502, [[0.375, 0.0, 0.625], [0.0, 0.5, 0.5], [0.0, 1.0, 0.0]]),
+        (7, grid_search_scdp, SMOOTH[3], 2, "0.4249427200371997", "0.4249427200371997", "0.01", 2329,
+         [[0.58, 0.42], [0.92, 0.08]]),
+    )
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[1].__name__}-{c[2].name}-{c[3]}")
+    def test_outputs_are_unchanged(self, case):
+        seed, search, kind, n, value, relaxed, slack, feasible, kernel = case
+        rng = np.random.default_rng(seed)
+        prob = shaped_instance(rng, n, n, kind)
+        D = min_distortion(prob) + float(rng.uniform(0.05, 0.3))
+        P = float(rng.uniform(0.01, 0.1))
+        got = search(prob, D, P, self.STEP[n])
+        assert got.status is SolveStatus.OPTIMAL
+        assert (repr(got.value), repr(got.relaxed_value), repr(got.lipschitz_slack)) == (value, relaxed, slack)
+        assert got.feasible_count == feasible
+        assert got.kernel.matrix.tolist() == kernel
