@@ -107,7 +107,7 @@ def error_rate(src: MixtureSource, region: DecisionRegion) -> float:
         raise DimensionError(f"source alphabet {src.alphabet} != region alphabet {region.alphabet}")
     inside = region.members
     return float(
-        src.prior2 * src.class2.mass[inside].sum() + src.prior1 * src.class1.mass[~inside].sum()
+        src.prior2 * np.add.reduce(src.class2.mass[inside]) + src.prior1 * np.add.reduce(src.class1.mass[~inside])
     )
 
 
@@ -133,7 +133,7 @@ def region_partition(src: MixtureSource, tie_tolerance: float = PARTITION_TIE_TO
 
 def bayes_error(src: MixtureSource) -> float:
     """Minimal error rate over all decision regions: sum_x min(P1 p1(x), P2 p2(x))."""
-    return float(np.minimum(src.prior1 * src.class1.mass, src.prior2 * src.class2.mass).sum())
+    return float(np.add.reduce(np.minimum(src.prior1 * src.class1.mass, src.prior2 * src.class2.mass)))
 
 
 def bayes_error_tv_form(src: MixtureSource) -> float:
@@ -142,7 +142,7 @@ def bayes_error_tv_form(src: MixtureSource) -> float:
     Algebraically identical to ``bayes_error``; kept as an independent code
     path so the identity can be checked numerically.
     """
-    return float(0.5 - 0.5 * np.abs(src.prior1 * src.class1.mass - src.prior2 * src.class2.mass).sum())
+    return float(0.5 - 0.5 * np.add.reduce(np.abs(src.prior1 * src.class1.mass - src.prior2 * src.class2.mass)))
 
 
 def dpi_equality_holds(src: MixtureSource, ch: Channel) -> bool:

@@ -244,10 +244,15 @@ def load_config(path: str) -> RunConfig:
         instance.check_budgets(d_grid[0], p_grid[0])
     except ValueError as err:
         raise ConfigError("p_grid", str(err)) from None
-    seed = raw.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2**64):
-        raise ConfigError("seed", f"expected an unsigned 64-bit integer, got {seed!r}")
+    seed = _check_seed(raw.get("seed", DEFAULT_SEED), "seed")
     return RunConfig(instance=instance, d_grid=d_grid, p_grid=p_grid, mode=mode, seed=seed)
+
+
+def _check_seed(seed, field: str) -> int:
+    """A seed is an unsigned 64-bit integer, from the config or from ``--seed``."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2**64):
+        raise ConfigError(field, f"expected an unsigned 64-bit integer, got {seed!r}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +338,8 @@ def cmd_audit(args) -> int:
     # config error even though the randomized suites draw their own instances);
     # the config also carries the default seed, which --seed overrides.
     seed = args.seed
+    if seed is not None:
+        _check_seed(seed, "--seed")
     if args.config is not None:
         config = load_config(args.config)
         if seed is None:

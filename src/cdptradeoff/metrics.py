@@ -153,9 +153,10 @@ class DistortionMatrix:
         expected = (self.source.size, self.target.size)
         if mat.shape != expected:
             raise DimensionError(f"distortion matrix: expected shape {expected}, got {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise InvalidDistributionError("distortion matrix: non-finite entries")
-        if np.any(mat < 0.0):
+        # One min and one max accept valid costs; NaN fails the min's test.
+        if not (np.minimum.reduce(mat, axis=None) >= 0.0 and np.maximum.reduce(mat, axis=None) < math.inf):
+            if not np.all(np.isfinite(mat)):
+                raise InvalidDistributionError("distortion matrix: non-finite entries")
             raise InvalidDistributionError("distortion matrix: negative entries")
         mat = mat.copy()
         mat.setflags(write=False)

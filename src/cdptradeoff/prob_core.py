@@ -15,11 +15,14 @@ Normalization policy (applied uniformly at construction): a mass vector whose
 entries sum to 1 within ``DRIFT_TOLERANCE`` is silently renormalized; larger
 deviations are rejected as malformed input rather than drift.  Entries may
 undershoot zero by at most ``NEGATIVE_TOLERANCE`` (and are clipped); anything
-more negative is rejected.
+more negative is rejected.  Valid input, the common case, is accepted by one
+array-wide test (the smallest entry and every row total); only input that
+fails it is diagnosed row by row, to name the first bad row and its defect.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -39,20 +42,32 @@ NEGATIVE_TOLERANCE = 1e-12
 def _clean_mass(values, shape: tuple, what: str) -> np.ndarray:
     """Validate and renormalize nonnegative masses meant to sum to one along the last axis.
 
-    A matrix is checked row by row and an error names its first bad row,
-    ``{what} row {i}``.  Rows are made C-contiguous, so each row's sum is the
-    same pairwise sum a lone vector of that row gets.
+    Valid input passes one array-wide test: the smallest entry is at least
+    ``-NEGATIVE_TOLERANCE`` and every row total is within ``DRIFT_TOLERANCE``
+    of 1.  NaN fails both tests, +inf the totals' and -inf the floor's.  Only
+    input that fails is checked row by row, and the error names its first bad
+    row, ``{what} row {i}``.  Rows are made C-contiguous, so each row's sum is
+    the same pairwise sum a lone vector of that row gets.
+
+    The clip to zero is skipped only when the smallest entry is strictly
+    positive: ``np.maximum`` turns ``-0.0`` into ``+0.0``, so input holding a
+    zero of either sign is clipped as before.  The result is always a fresh
+    read-only array, ``clipped / totals``, sharing no memory with the input.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != shape:
         whole = what if len(shape) == 1 else f"{what} matrix"
         raise DimensionError(f"{whole}: expected shape {shape}, got {arr.shape}")
-    arr = np.ascontiguousarray(arr)
-    clipped = np.maximum(arr, 0.0)
-    totals = clipped.sum(axis=-1, keepdims=True)
-    # NaN fails both tests, +inf the sum's and -inf the floor's.
-    ok = (arr.min(axis=-1) >= -NEGATIVE_TOLERANCE) & (np.abs(totals[..., 0] - 1.0) <= DRIFT_TOLERANCE)
-    if not ok.all():
+    if not arr.flags.c_contiguous:
+        arr = np.ascontiguousarray(arr)
+    low = float(np.minimum.reduce(arr, axis=None))
+    clipped = arr if low > 0.0 else np.maximum(arr, 0.0)
+    totals = np.add.reduce(clipped, axis=-1, keepdims=True)
+    if not (
+        low >= -NEGATIVE_TOLERANCE
+        and all(abs(t - 1.0) <= DRIFT_TOLERANCE for t in totals.ravel().tolist())
+    ):
+        ok = (arr.min(axis=-1) >= -NEGATIVE_TOLERANCE) & (np.abs(totals[..., 0] - 1.0) <= DRIFT_TOLERANCE)
         i = int(ok.argmin())
         row = arr.reshape(-1, shape[-1])[i]
         name = what if len(shape) == 1 else f"{what} row {i}"
@@ -106,6 +121,8 @@ class ProbVector:
 
     @classmethod
     def point_mass(cls, alphabet: Alphabet, symbol: int) -> "ProbVector":
+        if not 0 <= symbol < alphabet.size:
+            raise DimensionError(f"symbol {symbol} outside alphabet of size {alphabet.size}")
         mass = np.zeros(alphabet.size)
         mass[symbol] = 1.0
         return cls(alphabet, mass)
@@ -164,8 +181,17 @@ class Channel:
     @classmethod
     def deterministic(cls, input_alphabet: Alphabet, output_alphabet: Alphabet, assignment: Iterable[int]) -> "Channel":
         """Channel mapping each input symbol to a single output symbol."""
+        targets = list(assignment)
+        if len(targets) != input_alphabet.size:
+            raise DimensionError(
+                f"assignment: expected {input_alphabet.size} output symbols, got {len(targets)}"
+            )
         mat = np.zeros((input_alphabet.size, output_alphabet.size))
-        for i, j in enumerate(assignment):
+        for i, j in enumerate(targets):
+            if not 0 <= j < output_alphabet.size:
+                raise DimensionError(
+                    f"assignment: input {i} maps to symbol {j}, outside output alphabet of size {output_alphabet.size}"
+                )
             mat[i, j] = 1.0
         return cls(input_alphabet, output_alphabet, mat)
 
@@ -194,7 +220,7 @@ class MixtureSource:
 
     def __post_init__(self):
         p1, p2 = float(self.prior1), float(self.prior2)
-        if not (np.isfinite(p1) and np.isfinite(p2)):
+        if not (math.isfinite(p1) and math.isfinite(p2)):
             raise InvalidDistributionError("priors must be finite")
         if p1 < -NEGATIVE_TOLERANCE or p2 < -NEGATIVE_TOLERANCE:
             raise InvalidDistributionError(f"priors must be nonnegative, got ({p1}, {p2})")

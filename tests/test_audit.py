@@ -1,5 +1,8 @@
 """Randomized property suites and their constructions."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -125,3 +128,22 @@ class TestRunAudit:
         worst_a = [r["worst"] for r in a["results"]]
         worst_b = [r["worst"] for r in b["results"]]
         assert worst_a != worst_b
+
+
+class TestFrozenAuditOutputs:
+    """SHA-256 of ``json.dumps(run_audit(seed, trials=200).to_dict())``, pinned to the byte.
+
+    Every suite's ``worst`` is printed with ``repr`` precision, so a change in
+    any constructor, reduction or suite that moves one bit of one result
+    changes the digest.
+    """
+
+    DIGESTS = {
+        0: "3e6de9f55c20d348e8a8ebaf7fedd12d5a973005c4e0621678bb8fcffbb4aefb",
+        1: "db79694c01958621b6898213893353aeed49f8bc3b7e341fe25cf31f1075cf36",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_report_bytes_are_unchanged(self, seed):
+        payload = json.dumps(run_audit(seed, trials=200).to_dict())
+        assert hashlib.sha256(payload.encode()).hexdigest() == self.DIGESTS[seed]

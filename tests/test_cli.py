@@ -160,6 +160,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith(f"config error: {field}")
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_audit_seed_flag_is_checked_like_the_config_seed(self, seed, capsys):
+        assert main(["audit", "--seed", seed, "--trials", "1"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: --seed: expected an unsigned 64-bit integer, got {seed}\n"
+
+    @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+    def test_audit_seed_flag_accepts_both_ends_of_the_range(self, seed, tmp_path):
+        out = tmp_path / "audit.json"
+        assert main(["audit", "--seed", seed, "--trials", "1", "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["seed"] == int(seed)
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_audit_without_trials_rejected(self, trials, capsys):
         assert main(["audit", "--trials", trials, "--seed", "1"]) == EXIT_CONFIG

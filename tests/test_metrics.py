@@ -161,8 +161,23 @@ class TestDistortionMatrix:
             DistortionMatrix.hamming(A3, A2)
 
     def test_rejects_negative_costs(self):
-        with pytest.raises(InvalidDistributionError):
+        with pytest.raises(InvalidDistributionError, match="distortion matrix: negative entries"):
             DistortionMatrix(A2, A2, np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_costs_are_named_before_negative_ones(self, bad):
+        # A NaN or infinite entry is reported as such wherever it sits,
+        # even when another entry is negative.
+        for cost in ([[bad, -1.0], [1.0, 0.0]], [[0.0, -1.0], [1.0, bad]], [[0.0, 1.0], [bad, 0.0]]):
+            with pytest.raises(InvalidDistributionError, match="distortion matrix: non-finite entries"):
+                DistortionMatrix(A2, A2, np.array(cost))
+
+    def test_cost_is_a_read_only_copy(self):
+        cost = np.array([[0.0, -0.0], [1.0, 0.0]])
+        d = DistortionMatrix(A2, A2, cost)
+        assert not np.shares_memory(d.cost, cost)
+        assert not d.cost.flags.writeable
+        assert d.cost.tobytes() == cost.tobytes()
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(DimensionError):

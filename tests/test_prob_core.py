@@ -18,7 +18,35 @@ from cdptradeoff import (
     mix_mixtures,
     push_forward,
 )
-from cdptradeoff.prob_core import DRIFT_TOLERANCE, _clean_mass
+from cdptradeoff.prob_core import DRIFT_TOLERANCE, NEGATIVE_TOLERANCE, _clean_mass
+
+
+def clean_mass_reference(values, shape: tuple, what: str) -> np.ndarray:
+    """The row-by-row-tested ``_clean_mass`` that the one-pass acceptance test replaced."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.shape != shape:
+        whole = what if len(shape) == 1 else f"{what} matrix"
+        raise DimensionError(f"{whole}: expected shape {shape}, got {arr.shape}")
+    arr = np.ascontiguousarray(arr)
+    clipped = np.maximum(arr, 0.0)
+    totals = clipped.sum(axis=-1, keepdims=True)
+    # NaN fails both tests, +inf the sum's and -inf the floor's.
+    ok = (arr.min(axis=-1) >= -NEGATIVE_TOLERANCE) & (np.abs(totals[..., 0] - 1.0) <= DRIFT_TOLERANCE)
+    if not ok.all():
+        i = int(ok.argmin())
+        row = arr.reshape(-1, shape[-1])[i]
+        name = what if len(shape) == 1 else f"{what} row {i}"
+        if not np.all(np.isfinite(row)):
+            raise InvalidDistributionError(f"{name}: non-finite entries")
+        if np.any(row < -NEGATIVE_TOLERANCE):
+            raise InvalidDistributionError(f"{name}: negative entries {row.min():.3e}")
+        total = float(totals.reshape(-1)[i])
+        raise InvalidDistributionError(
+            f"{name}: entries sum to {total!r}, beyond drift tolerance {DRIFT_TOLERANCE}"
+        )
+    arr = clipped / totals
+    arr.setflags(write=False)
+    return arr
 
 
 def mass_strategy(n):
@@ -27,6 +55,85 @@ def mass_strategy(n):
         .map(np.asarray)
         .map(lambda v: v / v.sum())
     )
+
+
+class TestCleanMassMatchesReference:
+    """The one-pass ``_clean_mass`` gives the reference's bytes or its exact error."""
+
+    INPUTS = 50_000
+
+    @staticmethod
+    def fuzz_input(rng):
+        """One input of shape (n,) or (m, n), n = 1..9, in one of several memory layouts.
+
+        Rows are stochastic up to zero entries (some stored as ``-0.0`` or as
+        ``-1e-13`` dust) and drift within 0.9 of the tolerance; about a third
+        of inputs then get one or two defects: NaN, +-inf, ``-1e-3`` or a
+        row pushed past the drift tolerance, each at a random position.
+        """
+        n, m = (int(k) for k in rng.integers(1, 10, size=2))
+        mat = rng.dirichlet(np.full(n, (0.2, 1.0, 5.0)[int(rng.integers(3))]), size=m)
+        u = rng.random(8)
+        if u[0] < 0.5:
+            zeros = rng.random(mat.shape) < 0.3
+            mat[zeros] = 0.0
+            mat[mat.sum(axis=1) == 0.0, 0] = 1.0
+            mat /= mat.sum(axis=1, keepdims=True)
+            zeros = mat == 0.0
+            marks = rng.random(mat.shape)
+            mat[zeros & (marks < 0.3)] = -0.0
+            mat[zeros & (marks > 0.8)] = -1e-13
+        if u[1] < 0.7:
+            mat *= 1.0 + rng.uniform(-0.9, 0.9, size=(m, 1)) * DRIFT_TOLERANCE
+        if u[2] < 0.35:
+            for _ in range(1 + int(u[3] < 0.3)):
+                i, j = int(rng.integers(m)), int(rng.integers(n))
+                kind = int(rng.integers(5))
+                if kind < 4:
+                    mat[i, j] = (np.nan, np.inf, -np.inf, -1e-3)[kind]
+                else:
+                    mat[i] *= 1.0 + rng.choice([-1.0, 1.0]) * rng.uniform(1.1, 100.0) * DRIFT_TOLERANCE
+        if u[4] < 0.5:
+            mat = mat[int(rng.integers(m))]
+        if u[5] < 0.2:
+            mat = np.asfortranarray(mat)
+        elif u[5] < 0.4:
+            wide = np.zeros(mat.shape[:-1] + (2 * n,))
+            wide[..., ::2] = mat
+            mat = wide[..., ::2]
+        elif u[5] < 0.5:
+            mat = mat[..., ::-1].copy()[..., ::-1]
+        elif u[5] < 0.55:
+            mat = mat.tolist()
+        return mat
+
+    @staticmethod
+    def outcome(clean, values, shape, what):
+        try:
+            return clean(values, shape, what)
+        except (InvalidDistributionError, DimensionError) as err:
+            return type(err), str(err)
+
+    def test_fuzzed_inputs_match_the_reference(self):
+        rng = np.random.default_rng(20240612)
+        seen = {"accepted": 0, "signed_zero": 0, "non-finite": 0, "negative": 0, "sum": 0}
+        for _ in range(self.INPUTS):
+            values = self.fuzz_input(rng)
+            arr = np.asarray(values)
+            shape, what = arr.shape, ("mass" if arr.ndim == 1 else "channel")
+            want = self.outcome(clean_mass_reference, values, shape, what)
+            got = self.outcome(_clean_mass, values, shape, what)
+            if isinstance(want, tuple):
+                assert got == want
+                seen[next(k for k in ("non-finite", "negative", "sum") if k in want[1])] += 1
+                continue
+            assert isinstance(got, np.ndarray)
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            assert not np.shares_memory(got, arr)
+            seen["accepted"] += 1
+            seen["signed_zero"] += bool(np.any(np.signbit(arr) & (arr == 0.0)))
+        assert min(seen.values()) > 1000, seen
 
 
 class TestAlphabet:
@@ -47,6 +154,11 @@ class TestProbVector:
         pm = ProbVector.point_mass(a, 2)
         assert pm.mass[2] == 1.0
         assert pm.mass.sum() == 1.0
+
+    @pytest.mark.parametrize("symbol", [-1, 3])
+    def test_point_mass_rejects_symbols_outside_the_alphabet(self, symbol):
+        with pytest.raises(DimensionError, match=rf"symbol {symbol} outside alphabet of size 3"):
+            ProbVector.point_mass(Alphabet(3), symbol)
 
     def test_rejects_negative_entries(self):
         with pytest.raises(InvalidDistributionError):
@@ -105,6 +217,16 @@ class TestChannel:
         ch = Channel.deterministic(Alphabet(3), Alphabet(2), [1, 0, 1])
         assert ch.is_deterministic()
         assert_allclose(ch.matrix, [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("assignment", [[0, -1, 1], [0, 2, 1]])
+    def test_deterministic_rejects_symbols_outside_the_output(self, assignment):
+        with pytest.raises(DimensionError, match=r"input 1 maps to symbol -?\d, outside output alphabet of size 2"):
+            Channel.deterministic(Alphabet(3), Alphabet(2), assignment)
+
+    @pytest.mark.parametrize("assignment", [[0, 1], [0, 1, 0, 1]])
+    def test_deterministic_rejects_assignments_of_the_wrong_length(self, assignment):
+        with pytest.raises(DimensionError, match=rf"expected 3 output symbols, got {len(assignment)}"):
+            Channel.deterministic(Alphabet(3), Alphabet(2), assignment)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(DimensionError, match=r"channel matrix: expected shape \(2, 3\), got \(3, 2\)"):
@@ -186,6 +308,11 @@ class TestMixtureSource:
             MixtureSource.from_masses(0.6, 0.6, [1.0, 0.0], [0.0, 1.0])
         with pytest.raises(InvalidDistributionError):
             MixtureSource.from_masses(-0.1, 1.1, [1.0, 0.0], [0.0, 1.0])
+
+    @pytest.mark.parametrize("priors", [(np.nan, 0.5), (0.5, np.inf), (-np.inf, 1.0)])
+    def test_rejects_non_finite_priors_before_their_sign(self, priors):
+        with pytest.raises(InvalidDistributionError, match="priors must be finite"):
+            MixtureSource.from_masses(*priors, [1.0, 0.0], [0.0, 1.0])
 
     def test_rejects_mismatched_class_alphabets(self):
         a2, a3 = Alphabet(2), Alphabet(3)
