@@ -1,7 +1,10 @@
 """Randomized property suites certifying the library's structural claims.
 
-Each suite hammers one mathematical property with seeded random instances
-and reports the worst observed violation against an explicit tolerance:
+Each suite hammers one mathematical property with seeded random instances.
+It is written as a generator of per-trial violations, and ``_suite`` turns
+it into a ``(rng, trials) -> PropertyResult`` function with the one verdict
+rule they all share: the worst violation, from 0, against the suite's
+tolerance.  The suites check that:
 
 - the fixed-classifier error rate is linear in the pair of class
   conditionals, and the expected distortion is linear in the restoration
@@ -16,13 +19,19 @@ and reports the worst observed violation against an explicit tolerance:
 - solved tradeoff surfaces are non-increasing in both budgets, and the
   fixed-classifier surface is midpoint-convex along the distortion axis.
 
-The generators are deliberately boring: dirichlet masses, uniform priors,
-dirichlet channel rows.  The two structured families for the equality and
-bridging checks are documented inline where they are built.
+``run_audit`` gives the six scalar suites its ``trials`` each; the two
+surface suites solve whole budget grids and always run ``SURFACE_TRIALS``,
+and the data-processing suite adds ``STRUCTURED_TRIALS`` equality and as
+many bridging constructions to its random trials.
+
+The instance generators are deliberately boring: dirichlet masses, uniform
+priors, dirichlet channel rows.  The two structured families for the
+equality and bridging checks are documented where they are built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -50,6 +59,10 @@ from .solver import ProblemInstance, min_distortion, sweep_surface
 
 DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 42
+# Trials of each surface suite: every trial solves a 3 x 3 budget grid.
+SURFACE_TRIALS = 4
+# Equality and bridging constructions, each, after the data-processing suite's random trials.
+STRUCTURED_TRIALS = 50
 
 
 @dataclass(frozen=True)
@@ -210,10 +223,36 @@ def random_instance(rng: np.random.Generator, kind: Optional[DivergenceKind] = N
 # ---------------------------------------------------------------------------
 
 
-def check_error_linearity(rng: np.random.Generator, trials: int = DEFAULT_TRIALS) -> PropertyResult:
+def _suite(name: str, tolerance: float, detail: str, trials: int = DEFAULT_TRIALS):
+    """Turn a generator of per-trial violations into a suite ``(rng, trials) -> PropertyResult``.
+
+    The verdict is the same for every suite: the worst violation, running up
+    from 0.0 as ``max(worst, v)`` so that a NaN never becomes the worst,
+    against ``tolerance``.  The reported ``trials`` counts the violations
+    yielded; ``trials`` here is the suite's default count.
+    """
+
+    def wrap(violations):
+        @functools.wraps(violations)
+        def suite(rng: np.random.Generator, trials: int = trials) -> PropertyResult:
+            worst, count = 0.0, 0
+            for v in violations(rng, trials):
+                worst = max(worst, v)
+                count += 1
+            return PropertyResult(name, worst <= tolerance, count, worst, tolerance, detail)
+
+        return suite
+
+    return wrap
+
+
+@_suite(
+    "fixed_classifier_error_linearity",
+    1e-12,
+    "|error(blend) - blend(errors)| over random mixture pairs, regions, weights",
+)
+def check_error_linearity(rng, trials):
     """Error rate of a fixed region is linear under blending of class conditionals."""
-    tol = 1e-12
-    worst = 0.0
     for _ in range(trials):
         u, v = random_mixture_pair(rng)
         lam = float(rng.uniform())
@@ -221,108 +260,74 @@ def check_error_linearity(rng: np.random.Generator, trials: int = DEFAULT_TRIALS
         blended = mix_mixtures(u, v, lam)
         direct = error_rate(blended, region)
         split = lam * error_rate(u, region) + (1.0 - lam) * error_rate(v, region)
-        worst = max(worst, abs(direct - split))
-    return PropertyResult(
-        name="fixed_classifier_error_linearity",
-        passed=worst <= tol,
-        trials=trials,
-        worst=worst,
-        tolerance=tol,
-        detail="|error(blend) - blend(errors)| over random mixture pairs, regions, weights",
-    )
+        yield abs(direct - split)
 
 
-def check_bayes_concavity(rng: np.random.Generator, trials: int = DEFAULT_TRIALS) -> PropertyResult:
+@_suite("bayes_error_concavity", 1e-12, "max(0, blend(bayes) - bayes(blend)) over random mixture pairs")
+def check_bayes_concavity(rng, trials):
     """Bayes error of a blend is at least the blend of Bayes errors."""
-    tol = 1e-12
-    worst = 0.0  # most negative concavity margin, reported as a violation magnitude
     for _ in range(trials):
         u, v = random_mixture_pair(rng)
         lam = float(rng.uniform())
         blended = mix_mixtures(u, v, lam)
-        margin = bayes_error(blended) - (lam * bayes_error(u) + (1.0 - lam) * bayes_error(v))
-        worst = max(worst, -margin)
-    return PropertyResult(
-        name="bayes_error_concavity",
-        passed=worst <= tol,
-        trials=trials,
-        worst=worst,
-        tolerance=tol,
-        detail="max(0, blend(bayes) - bayes(blend)) over random mixture pairs",
-    )
+        # A negative concavity margin is the violation.
+        yield (lam * bayes_error(u) + (1.0 - lam) * bayes_error(v)) - bayes_error(blended)
 
 
-def check_closed_forms(rng: np.random.Generator, trials: int = DEFAULT_TRIALS) -> PropertyResult:
+@_suite("bayes_error_closed_forms_agree", 1e-12, "|min-sum form - total-variation form| over random sources")
+def check_closed_forms(rng, trials):
     """The min-sum and total-variation closed forms of the Bayes error agree."""
-    tol = 1e-12
-    worst = 0.0
     for _ in range(trials):
         src = random_mixture(rng)
-        worst = max(worst, abs(bayes_error(src) - bayes_error_tv_form(src)))
-    return PropertyResult(
-        name="bayes_error_closed_forms_agree",
-        passed=worst <= tol,
-        trials=trials,
-        worst=worst,
-        tolerance=tol,
-        detail="|min-sum form - total-variation form| over random sources",
-    )
+        yield abs(bayes_error(src) - bayes_error_tv_form(src))
 
 
-def check_data_processing(
-    rng: np.random.Generator,
-    trials: int = DEFAULT_TRIALS,
-    structured: int = 50,
-) -> PropertyResult:
-    """Degradation never lowers the Bayes error; equality and gap families behave."""
-    tol = 1e-12
+@_suite(
+    "bayes_error_data_processing",
+    1e-12,
+    "random channels never lower the Bayes error; structural-equality "
+    "channels preserve it exactly; region-bridging channels open a gap",
+)
+def check_data_processing(rng, trials):
+    """Degradation never lowers the Bayes error; equality and gap families behave.
+
+    After ``trials`` random channels come ``STRUCTURED_TRIALS`` equality and
+    ``STRUCTURED_TRIALS`` bridging constructions; a construction whose
+    equality test comes out wrong, or whose bridge opens no gap, counts as a
+    violation of at least 1.
+    """
     gap_floor = 1e-9
-    worst = 0.0
     for _ in range(trials):
         src = random_mixture(rng)
         ch = random_channel(rng, src.alphabet.size)
-        drop = bayes_error(src) - bayes_error(push_forward(src, ch))
-        worst = max(worst, drop)  # positive drop would violate the inequality
-    for _ in range(structured):
+        yield bayes_error(src) - bayes_error(push_forward(src, ch))
+    for _ in range(STRUCTURED_TRIALS):
         src = random_mixture(rng)
         ch = equality_channel(rng, src)
         gap = abs(bayes_error(push_forward(src, ch)) - bayes_error(src))
-        worst = max(worst, gap)
-        if not dpi_equality_holds(src, ch):
-            worst = max(worst, 1.0)
-    for _ in range(structured):
+        # 1.0 goes first so that a NaN gap still counts as a violation of 1.
+        yield gap if dpi_equality_holds(src, ch) else max(1.0, gap)
+    for _ in range(STRUCTURED_TRIALS):
         src, ch = bridging_pair(rng)
         gap = bayes_error(push_forward(src, ch)) - bayes_error(src)
-        if gap <= gap_floor:
-            worst = max(worst, gap_floor - gap + 1.0)
-        if dpi_equality_holds(src, ch):
-            worst = max(worst, 1.0)
-    return PropertyResult(
-        name="bayes_error_data_processing",
-        passed=worst <= tol,
-        trials=trials + 2 * structured,
-        worst=worst,
-        tolerance=tol,
-        detail=(
-            "random channels never lower the Bayes error; structural-equality "
-            "channels preserve it exactly; region-bridging channels open a gap"
-        ),
-    )
+        shortfall = gap_floor - gap + 1.0 if gap <= gap_floor else 0.0
+        yield max(1.0, shortfall) if dpi_equality_holds(src, ch) else shortfall
 
 
-def check_divergence_convexity(rng: np.random.Generator, trials: int = DEFAULT_TRIALS) -> PropertyResult:
-    """Each divergence is convex in its second argument."""
-    tol = 1e-10
-    kinds = (
-        DivergenceKind.total_variation(),
-        DivergenceKind.kullback_leibler(),
-        DivergenceKind.hellinger(),
-        DivergenceKind.renyi(0.5),
-        DivergenceKind.renyi(2.0),
-    )
-    worst = 0.0
+_CONVEX_KINDS = (
+    DivergenceKind.total_variation(),
+    DivergenceKind.kullback_leibler(),
+    DivergenceKind.hellinger(),
+    DivergenceKind.renyi(0.5),
+    DivergenceKind.renyi(2.0),
+)
+
+
+@_suite("divergence_convexity", 1e-10, "max(0, d(p, blend) - blend of d(p, .)) across all divergence kinds")
+def check_divergence_convexity(rng, trials):
+    """Each divergence is convex in its second argument; an infinite chord bounds nothing."""
     for t in range(trials):
-        kind = kinds[t % len(kinds)]
+        kind = _CONVEX_KINDS[t % len(_CONVEX_KINDS)]
         n = int(rng.integers(2, 7))
         alphabet = Alphabet(n)
         p = ProbVector(alphabet, random_mass(rng, n))
@@ -332,23 +337,16 @@ def check_divergence_convexity(rng: np.random.Generator, trials: int = DEFAULT_T
         mixed = ProbVector(alphabet, lam * q1.mass + (1.0 - lam) * q2.mass)
         lhs = divergence(kind, p, mixed)
         rhs = lam * divergence(kind, p, q1) + (1.0 - lam) * divergence(kind, p, q2)
-        if math.isinf(rhs):
-            continue
-        worst = max(worst, lhs - rhs)
-    return PropertyResult(
-        name="divergence_convexity",
-        passed=worst <= tol,
-        trials=trials,
-        worst=worst,
-        tolerance=tol,
-        detail="max(0, d(p, blend) - blend of d(p, .)) across all divergence kinds",
-    )
+        yield 0.0 if math.isinf(rhs) else lhs - rhs
 
 
-def check_distortion_linearity(rng: np.random.Generator, trials: int = DEFAULT_TRIALS) -> PropertyResult:
+@_suite(
+    "expected_distortion_linearity",
+    1e-12,
+    "|distortion(blend of kernels) - blend of distortions| on random instances",
+)
+def check_distortion_linearity(rng, trials):
     """Expected distortion is linear in the restoration kernel."""
-    tol = 1e-12
-    worst = 0.0
     for _ in range(trials):
         n = int(rng.integers(2, 5))
         m = int(rng.integers(2, 5))
@@ -363,15 +361,7 @@ def check_distortion_linearity(rng: np.random.Generator, trials: int = DEFAULT_T
         rhs = lam * expected_distortion(src, degrade, k1, delta) + (1.0 - lam) * expected_distortion(
             src, degrade, k2, delta
         )
-        worst = max(worst, abs(lhs - rhs))
-    return PropertyResult(
-        name="expected_distortion_linearity",
-        passed=worst <= tol,
-        trials=trials,
-        worst=worst,
-        tolerance=tol,
-        detail="|distortion(blend of kernels) - blend of distortions| on random instances",
-    )
+        yield abs(lhs - rhs)
 
 
 def midpoint_excess(d_grid, values: np.ndarray) -> np.ndarray:
@@ -389,50 +379,39 @@ def midpoint_excess(d_grid, values: np.ndarray) -> np.ndarray:
     return excess
 
 
-def _surface_violations(table, convexity: bool) -> float:
-    """Worst monotonicity (and optional distortion-axis convexity) violation."""
-    vals = table.value_matrix()
-    terms = [np.diff(vals, axis=0), np.diff(vals, axis=1)]
-    if convexity:
-        terms.append(midpoint_excess(table.d_grid, vals))
-    worst = 0.0
-    for term in terms:
-        finite = term[~np.isnan(term)]
-        if finite.size:
-            worst = max(worst, float(finite.max()))
-    return worst
+def _surface_violations(rng, trials: int, which: str):
+    """Sweep random instances on a fixed budget grid and yield each table's worst rise.
 
-
-def _check_surface(rng: np.random.Generator, trials: int, which: str) -> PropertyResult:
-    """Sweep random instances on a fixed budget grid; only the fixed-classifier
-    surface is also held to midpoint convexity in D."""
-    tol = 1e-9
-    worst = 0.0
+    A rise is a step up along either budget axis; only the fixed-classifier
+    surface is also held to midpoint convexity in D.  NaN cells are skipped.
+    """
     for _ in range(trials):
         prob = random_instance(rng)
         dmin = min_distortion(prob)
-        d_grid = (dmin, dmin + 0.15, dmin + 0.3)
-        p_grid = (0.02, 0.1, 0.4)
-        table = sweep_surface(prob, d_grid, p_grid, which=which)
-        worst = max(worst, _surface_violations(table, convexity=which == "cdp"))
-    if which == "cdp":
-        name = "cdp_surface_monotone_convex"
-        detail = "surface rises along a budget axis or breaks midpoint convexity in D"
-    else:
-        name, detail = "scdp_surface_monotone", "strong surface rises along a budget axis"
-    return PropertyResult(
-        name=name, passed=worst <= tol, trials=trials, worst=worst, tolerance=tol, detail=detail
-    )
+        table = sweep_surface(prob, (dmin, dmin + 0.15, dmin + 0.3), (0.02, 0.1, 0.4), which=which)
+        vals = table.value_matrix()
+        terms = [np.diff(vals, axis=0), np.diff(vals, axis=1)]
+        if which == "cdp":
+            terms.append(midpoint_excess(table.d_grid, vals))
+        rises = np.concatenate([term.ravel() for term in terms])
+        yield float(np.max(rises, initial=0.0, where=~np.isnan(rises)))
 
 
-def check_cdp_surface(rng: np.random.Generator, trials: int = 4) -> PropertyResult:
+@_suite(
+    "cdp_surface_monotone_convex",
+    1e-9,
+    "surface rises along a budget axis or breaks midpoint convexity in D",
+    SURFACE_TRIALS,
+)
+def check_cdp_surface(rng, trials):
     """Fixed-classifier surfaces are monotone in both budgets and midpoint-convex in D."""
-    return _check_surface(rng, trials, "cdp")
+    return _surface_violations(rng, trials, "cdp")
 
 
-def check_scdp_surface(rng: np.random.Generator, trials: int = 4) -> PropertyResult:
+@_suite("scdp_surface_monotone", 1e-9, "strong surface rises along a budget axis", SURFACE_TRIALS)
+def check_scdp_surface(rng, trials):
     """Strong surfaces are monotone in both budgets."""
-    return _check_surface(rng, trials, "scdp")
+    return _surface_violations(rng, trials, "scdp")
 
 
 ALL_SUITES: tuple = (
@@ -447,25 +426,22 @@ ALL_SUITES: tuple = (
 )
 
 
-def run_audit(
-    seed: int = DEFAULT_SEED,
-    trials: int = DEFAULT_TRIALS,
-    surface_trials: int = 4,
-) -> AuditReport:
+def run_audit(seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS) -> AuditReport:
     """Run every property suite with a fresh seeded generator per suite.
 
-    Per-suite generators keep one suite's draw count from shifting another
-    suite's instances, so reports are stable under suite reordering.  A
-    suite of no trials would pass vacuously, so both counts must be at least 1.
+    ``trials`` sets the scalar suites; the two surface suites, which solve
+    whole grids, always run ``SURFACE_TRIALS``.  Per-suite generators keep
+    one suite's draw count from shifting another suite's instances, so
+    reports are stable under suite reordering.  A suite of no trials would
+    pass vacuously, so ``trials`` must be at least 1.
     """
-    for name, value in (("trials", trials), ("surface_trials", surface_trials)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
-    results = []
-    for index, suite in enumerate(ALL_SUITES):
-        rng = np.random.default_rng([seed, index])
-        if suite in (check_cdp_surface, check_scdp_surface):
-            results.append(suite(rng, surface_trials))
-        else:
-            results.append(suite(rng, trials))
-    return AuditReport(seed=seed, results=tuple(results))
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    surfaces = (check_cdp_surface, check_scdp_surface)
+    return AuditReport(
+        seed=seed,
+        results=tuple(
+            suite(np.random.default_rng([seed, index]), SURFACE_TRIALS if suite in surfaces else trials)
+            for index, suite in enumerate(ALL_SUITES)
+        ),
+    )

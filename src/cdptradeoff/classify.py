@@ -54,9 +54,7 @@ class DecisionRegion:
     def from_indices(cls, alphabet: Alphabet, indices: Iterable[int]) -> "DecisionRegion":
         mask = np.zeros(alphabet.size, dtype=bool)
         for i in indices:
-            if not 0 <= i < alphabet.size:
-                raise DimensionError(f"symbol {i} outside alphabet of size {alphabet.size}")
-            mask[i] = True
+            mask[alphabet.check_symbol(i)] = True
         return cls(alphabet, mask)
 
     @classmethod

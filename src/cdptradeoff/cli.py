@@ -10,9 +10,10 @@ Subcommands:
     kernels as JSON.
 
 ``audit``
-    Run the randomized property suites with a given seed and trial count and
-    emit the report as canonical JSON.  Exits 0 when every suite passes and
-    1 otherwise.
+    Run the randomized property suites with a given seed and emit the report
+    as canonical JSON.  ``--trials`` sets the six scalar suites; the two
+    surface suites always run ``audit.SURFACE_TRIALS``.  Exits 0 when every
+    suite passes and 1 otherwise.
 
 ``probe-scdp-convexity``
     Solve the strong surface on the config grids and report the
@@ -33,12 +34,13 @@ import io
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .audit import DEFAULT_SEED, DEFAULT_TRIALS, midpoint_excess, run_audit
+from .audit import DEFAULT_SEED, DEFAULT_TRIALS, SURFACE_TRIALS, midpoint_excess, run_audit
 from .classify import DecisionRegion, bayes_region
 from .errors import CdpError, ConfigError
 from .metrics import (
@@ -80,43 +82,62 @@ def _get(raw: dict, field: str, path: str):
     return raw[field]
 
 
-def _as_float(value, path: str) -> float:
-    """A config number; whether its value is allowed is for the object it builds to say."""
+@contextmanager
+def _naming(path: str):
+    """Report a failure to build the value at ``path`` as a ``ConfigError`` naming ``path``.
+
+    A ``ConfigError`` from inside already names its field and passes unchanged.
+    """
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(path, f"expected a number, got {value!r}") from None
+        yield
+    except ConfigError:
+        raise
+    except (CdpError, ValueError, TypeError, IndexError) as err:
+        raise ConfigError(path, str(err)) from None
+
+
+def _as_object(raw, path: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(path, "expected an object")
+    return raw
+
+
+def _as_float(value, path: str) -> float:
+    """A config number; whether its value is allowed is for the object it builds to say.
+
+    JSON ``true`` and ``false`` are Python ints, but they are not numbers here.
+    """
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(path, f"expected a number, got {value!r}")
 
 
 def _as_grid(value, path: str) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(path, "expected a list of numbers")
     grid = [_as_float(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    try:
+    with _naming(path):
         return check_grid(grid, path)
-    except ValueError as err:
-        raise ConfigError(path, str(err)) from None
 
 
 def _build_source(raw, path: str) -> MixtureSource:
-    if not isinstance(raw, dict):
-        raise ConfigError(path, "expected an object")
+    raw = _as_object(raw, path)
     prior1 = _as_float(_get(raw, "prior1", f"{path}.prior1"), f"{path}.prior1")
     class1 = _get(raw, "class1", f"{path}.class1")
     class2 = _get(raw, "class2", f"{path}.class2")
-    try:
+    with _naming(path):
         return MixtureSource.from_masses(
             prior1, 1.0 - prior1, np.asarray(class1, dtype=float), np.asarray(class2, dtype=float)
         )
-    except (CdpError, ValueError, TypeError) as err:
-        raise ConfigError(path, str(err)) from None
 
 
 def _build_degrade(raw, source: MixtureSource, path: str) -> Channel:
-    if not isinstance(raw, dict):
-        raise ConfigError(path, "expected an object")
+    raw = _as_object(raw, path)
     kind = _get(raw, "type", f"{path}.type")
-    try:
+    with _naming(path):
         if kind == "bsc":
             flip = _as_float(_get(raw, "flip", f"{path}.flip"), f"{path}.flip")
             if source.alphabet.size != 2:
@@ -131,18 +152,13 @@ def _build_degrade(raw, source: MixtureSource, path: str) -> Channel:
                     path, f"rows must be a {source.alphabet.size}-row stochastic matrix"
                 )
             return Channel(source.alphabet, Alphabet(rows.shape[1]), rows)
-    except ConfigError:
-        raise
-    except (CdpError, ValueError, TypeError) as err:
-        raise ConfigError(path, str(err)) from None
     raise ConfigError(f"{path}.type", f"unknown degradation type {kind!r}")
 
 
 def _build_divergence(raw, path: str) -> DivergenceKind:
-    if not isinstance(raw, dict):
-        raise ConfigError(path, "expected an object")
+    raw = _as_object(raw, path)
     name = _get(raw, "name", f"{path}.name")
-    try:
+    with _naming(path):
         if name == TOTAL_VARIATION:
             return DivergenceKind.total_variation()
         if name == KULLBACK_LEIBLER:
@@ -152,35 +168,23 @@ def _build_divergence(raw, path: str) -> DivergenceKind:
         if name == RENYI:
             alpha = _as_float(_get(raw, "alpha", f"{path}.alpha"), f"{path}.alpha")
             return DivergenceKind.renyi(alpha)
-    except ConfigError:
-        raise
-    except (CdpError, ValueError) as err:
-        raise ConfigError(path, str(err)) from None
     raise ConfigError(f"{path}.name", f"unknown divergence {name!r}")
 
 
 def _build_distortion(raw, source: MixtureSource, restore: Alphabet, path: str) -> DistortionMatrix:
-    if not isinstance(raw, dict):
-        raise ConfigError(path, "expected an object")
+    raw = _as_object(raw, path)
     kind = _get(raw, "type", f"{path}.type")
-    try:
+    with _naming(path):
         if kind == "hamming":
             return DistortionMatrix.hamming(source.alphabet, restore)
         if kind == "matrix":
             cost = np.asarray(_get(raw, "cost", f"{path}.cost"), dtype=float)
             return DistortionMatrix(source.alphabet, restore, cost)
-    except ConfigError:
-        raise
-    except (CdpError, ValueError, TypeError) as err:
-        raise ConfigError(path, str(err)) from None
     raise ConfigError(f"{path}.type", f"unknown distortion type {kind!r}")
 
 
 def _build_classifier(raw, source: MixtureSource, restore: Alphabet, path: str) -> DecisionRegion:
-    if raw is None:
-        raw = {"type": "bayes"}
-    if not isinstance(raw, dict):
-        raise ConfigError(path, "expected an object")
+    raw = _as_object({"type": "bayes"} if raw is None else raw, path)
     kind = _get(raw, "type", f"{path}.type")
     if kind == "bayes":
         if restore.size != source.alphabet.size:
@@ -191,10 +195,8 @@ def _build_classifier(raw, source: MixtureSource, restore: Alphabet, path: str) 
         return DecisionRegion(restore, bayes_region(source).members)
     if kind == "indices":
         indices = _get(raw, "indices", f"{path}.indices")
-        try:
+        with _naming(path):
             return DecisionRegion.from_indices(restore, indices)
-        except (CdpError, ValueError, TypeError, IndexError) as err:
-            raise ConfigError(path, str(err)) from None
     raise ConfigError(f"{path}.type", f"unknown classifier type {kind!r}")
 
 
@@ -211,7 +213,7 @@ def build_instance(raw: dict) -> ProblemInstance:
     delta = _build_distortion(_get(raw, "distortion", "distortion"), source, restore, "distortion")
     kind = _build_divergence(_get(raw, "divergence", "divergence"), "divergence")
     classifier = _build_classifier(raw.get("classifier"), source, restore, "classifier")
-    try:
+    with _naming("config"):
         return ProblemInstance(
             source=source,
             degrade=degrade,
@@ -220,8 +222,6 @@ def build_instance(raw: dict) -> ProblemInstance:
             divergence=kind,
             classifier=classifier,
         )
-    except CdpError as err:
-        raise ConfigError("config", str(err)) from None
 
 
 def load_config(path: str) -> RunConfig:
@@ -238,12 +238,10 @@ def load_config(path: str) -> RunConfig:
     mode = raw.get("mode", "both")
     if mode not in ("cdp", "scdp", "both"):
         raise ConfigError("mode", f"expected 'cdp', 'scdp', or 'both', got {mode!r}")
-    try:
+    with _naming("p_grid"):
         # The grids passed their check, so only the alphabet rule can fail, and
         # an ascending p_grid holds a finite P exactly when p_grid[0] is finite.
         instance.check_budgets(d_grid[0], p_grid[0])
-    except ValueError as err:
-        raise ConfigError("p_grid", str(err)) from None
     seed = _check_seed(raw.get("seed", DEFAULT_SEED), "seed")
     return RunConfig(instance=instance, d_grid=d_grid, p_grid=p_grid, mode=mode, seed=seed)
 
@@ -417,7 +415,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="run the randomized property suites")
     p_audit.add_argument("--config", default=None, help="JSON problem description (validated; supplies the default seed)")
     p_audit.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_audit.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p_audit.add_argument(
+        "--trials",
+        type=int,
+        default=DEFAULT_TRIALS,
+        help=f"trials of each scalar suite (default {DEFAULT_TRIALS}); "
+        f"the two surface suites always run {SURFACE_TRIALS}",
+    )
     p_audit.add_argument("--out", default="-", help="JSON destination (default stdout)")
     p_audit.set_defaults(func=cmd_audit)
 

@@ -101,6 +101,17 @@ class Alphabet:
     def symbols(self) -> range:
         return range(self.size)
 
+    def check_symbol(self, symbol, what: str = "symbol", where: str = " outside alphabet") -> int:
+        """``symbol`` as an ``int``: an integer (a bool is not one) in ``0..size-1``.
+
+        The error reads ``{what} {symbol}{where} of size {size}``.
+        """
+        if not isinstance(symbol, (int, np.integer)) or isinstance(symbol, bool):
+            raise DimensionError(f"{what} {symbol!r} is not an integer")
+        if not 0 <= symbol < self.size:
+            raise DimensionError(f"{what} {symbol}{where} of size {self.size}")
+        return int(symbol)
+
 
 @dataclass(frozen=True, eq=False)
 class ProbVector:
@@ -121,10 +132,8 @@ class ProbVector:
 
     @classmethod
     def point_mass(cls, alphabet: Alphabet, symbol: int) -> "ProbVector":
-        if not 0 <= symbol < alphabet.size:
-            raise DimensionError(f"symbol {symbol} outside alphabet of size {alphabet.size}")
         mass = np.zeros(alphabet.size)
-        mass[symbol] = 1.0
+        mass[alphabet.check_symbol(symbol)] = 1.0
         return cls(alphabet, mass)
 
     def __repr__(self):
@@ -188,15 +197,12 @@ class Channel:
             )
         mat = np.zeros((input_alphabet.size, output_alphabet.size))
         for i, j in enumerate(targets):
-            if not 0 <= j < output_alphabet.size:
-                raise DimensionError(
-                    f"assignment: input {i} maps to symbol {j}, outside output alphabet of size {output_alphabet.size}"
-                )
-            mat[i, j] = 1.0
+            what = f"assignment: input {i} maps to symbol"
+            mat[i, output_alphabet.check_symbol(j, what, ", outside output alphabet")] = 1.0
         return cls(input_alphabet, output_alphabet, mat)
 
     def row(self, symbol: int) -> ProbVector:
-        return ProbVector(self.output, self.matrix[symbol])
+        return ProbVector(self.output, self.matrix[self.input.check_symbol(symbol)])
 
     def is_deterministic(self) -> bool:
         return bool(np.all(np.max(self.matrix, axis=1) == 1.0))

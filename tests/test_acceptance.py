@@ -88,7 +88,7 @@ def test_criterion_02_bayes_error_concavity(acceptance):
 
 def test_criterion_03_data_processing(acceptance):
     start = time.perf_counter()
-    res = check_data_processing(np.random.default_rng([42, 103]), trials=1000, structured=50)
+    res = check_data_processing(np.random.default_rng([42, 103]), trials=1000)
     elapsed = time.perf_counter() - start
     acceptance(
         3,

@@ -9,6 +9,8 @@ import pytest
 from cdptradeoff import bayes_error, dpi_equality_holds, push_forward, region_partition
 from cdptradeoff.audit import (
     ALL_SUITES,
+    STRUCTURED_TRIALS,
+    SURFACE_TRIALS,
     AuditReport,
     bridging_pair,
     check_bayes_concavity,
@@ -105,26 +107,35 @@ class TestSuites:
 
 class TestRunAudit:
     def test_full_report_structure(self):
-        report = run_audit(seed=11, trials=25, surface_trials=1)
+        report = run_audit(seed=11, trials=25)
         assert isinstance(report, AuditReport)
         assert report.passed
         assert len(report.results) == len(ALL_SUITES)
         names = [r.name for r in report.results]
         assert len(set(names)) == len(names)
 
-    @pytest.mark.parametrize("trials, surface_trials", [(0, 1), (-3, 1), (25, 0)])
-    def test_suites_without_trials_rejected(self, trials, surface_trials):
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_suites_without_trials_rejected(self, trials):
         with pytest.raises(ValueError, match="at least 1"):
-            run_audit(seed=1, trials=trials, surface_trials=surface_trials)
+            run_audit(seed=1, trials=trials)
+
+    def test_trial_counts_follow_the_module_constants(self):
+        report = run_audit(seed=3, trials=5)
+        counts = {r.name: r.trials for r in report.results}
+        assert counts.pop("cdp_surface_monotone_convex") == SURFACE_TRIALS
+        assert counts.pop("scdp_surface_monotone") == SURFACE_TRIALS
+        assert counts.pop("bayes_error_data_processing") == 5 + 2 * STRUCTURED_TRIALS
+        assert set(counts.values()) == {5}
+        assert check_data_processing(np.random.default_rng(4), 7).trials == 7 + 2 * STRUCTURED_TRIALS
 
     def test_reports_are_reproducible(self):
-        a = run_audit(seed=5, trials=25, surface_trials=1).to_dict()
-        b = run_audit(seed=5, trials=25, surface_trials=1).to_dict()
+        a = run_audit(seed=5, trials=25).to_dict()
+        b = run_audit(seed=5, trials=25).to_dict()
         assert a == b
 
     def test_different_seeds_draw_different_instances(self):
-        a = run_audit(seed=5, trials=25, surface_trials=1).to_dict()
-        b = run_audit(seed=6, trials=25, surface_trials=1).to_dict()
+        a = run_audit(seed=5, trials=25).to_dict()
+        b = run_audit(seed=6, trials=25).to_dict()
         worst_a = [r["worst"] for r in a["results"]]
         worst_b = [r["worst"] for r in b["results"]]
         assert worst_a != worst_b

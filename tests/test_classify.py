@@ -60,6 +60,12 @@ class TestDecisionRegion:
         with pytest.raises(Exception):
             DecisionRegion.from_indices(Alphabet(2), [2])
 
+    @pytest.mark.parametrize("indices", [[True], [0, False], [1.5]])
+    def test_indices_must_be_integers(self, indices):
+        # True once selected the whole alphabet as a NumPy boolean mask.
+        with pytest.raises(DimensionError, match=r"is not an integer"):
+            DecisionRegion.from_indices(Alphabet(3), indices)
+
 
 class TestErrorRate:
     def test_hand_value(self, skewed_source):

@@ -151,6 +151,10 @@ class TestExitCodes:
                 {"restore_size": 3, "distortion": {"type": "matrix", "cost": [[0, 1, 1], [1, 0, 1]]}},
                 "p_grid",
             ),
+            ({"classifier": {"indices": [True]}}, "classifier"),
+            ({"classifier": {"indices": [1.5]}}, "classifier"),
+            ({"source": {"prior1": True}}, "source.prior1"),
+            ({"d_grid": [True]}, "d_grid[0]"),
         ],
     )
     def test_config_errors_exit_2_naming_the_field(self, tmp_path, capsys, overrides, field):

@@ -1,5 +1,7 @@
 """Distribution, channel, and two-class source plumbing."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,6 +148,16 @@ class TestAlphabet:
         with pytest.raises(InvalidDistributionError):
             Alphabet(2.5)
 
+    @pytest.mark.parametrize("symbol", [0, 2, np.int64(1), np.uint8(2)])
+    def test_check_symbol_accepts_integers_inside(self, symbol):
+        got = Alphabet(3).check_symbol(symbol)
+        assert got == symbol and type(got) is int
+
+    @pytest.mark.parametrize("symbol", [True, False, np.True_, 1.0, 1.5, "1", None])
+    def test_check_symbol_rejects_what_is_not_an_integer(self, symbol):
+        with pytest.raises(DimensionError, match=rf"^symbol {re.escape(repr(symbol))} is not an integer$"):
+            Alphabet(3).check_symbol(symbol)
+
 
 class TestProbVector:
     def test_uniform_and_point_mass(self):
@@ -158,6 +170,11 @@ class TestProbVector:
     @pytest.mark.parametrize("symbol", [-1, 3])
     def test_point_mass_rejects_symbols_outside_the_alphabet(self, symbol):
         with pytest.raises(DimensionError, match=rf"symbol {symbol} outside alphabet of size 3"):
+            ProbVector.point_mass(Alphabet(3), symbol)
+
+    @pytest.mark.parametrize("symbol", [1.5, True])
+    def test_point_mass_rejects_symbols_that_are_not_integers(self, symbol):
+        with pytest.raises(DimensionError, match=rf"symbol {symbol} is not an integer"):
             ProbVector.point_mass(Alphabet(3), symbol)
 
     def test_rejects_negative_entries(self):
@@ -222,6 +239,17 @@ class TestChannel:
     def test_deterministic_rejects_symbols_outside_the_output(self, assignment):
         with pytest.raises(DimensionError, match=r"input 1 maps to symbol -?\d, outside output alphabet of size 2"):
             Channel.deterministic(Alphabet(3), Alphabet(2), assignment)
+
+    @pytest.mark.parametrize("assignment", [[0, True, 1], [0, 1.0, 1]])
+    def test_deterministic_rejects_symbols_that_are_not_integers(self, assignment):
+        with pytest.raises(DimensionError, match=rf"input 1 maps to symbol {assignment[1]} is not an integer"):
+            Channel.deterministic(Alphabet(3), Alphabet(2), assignment)
+
+    @pytest.mark.parametrize("symbol", [-1, 2, True])
+    def test_row_takes_only_symbols_of_the_input(self, symbol):
+        # -1 once returned the last row through NumPy's negative indexing.
+        with pytest.raises(DimensionError, match=rf"^symbol {symbol} "):
+            Channel.bsc(0.1).row(symbol)
 
     @pytest.mark.parametrize("assignment", [[0, 1], [0, 1, 0, 1]])
     def test_deterministic_rejects_assignments_of_the_wrong_length(self, assignment):
