@@ -24,9 +24,14 @@ surface suites solve whole budget grids and always run ``SURFACE_TRIALS``,
 and the data-processing suite adds ``STRUCTURED_TRIALS`` equality and as
 many bridging constructions to its random trials.
 
-The instance generators are deliberately boring: dirichlet masses, uniform
-priors, dirichlet channel rows.  The two structured families for the
-equality and bridging checks are documented where they are built.
+The instance generators are deliberately boring: uniform priors, and masses
+and channel rows drawn uniformly from the simplex by ``random_mass`` as
+normalized standard exponentials (Devroye, *Non-Uniform Random Variate
+Generation*, 1986, section XI.4).  That is how ``Generator.dirichlet`` draws
+an all-ones Dirichlet vector, and ``random_mass`` repeats its arithmetic, so
+the draws and the generator's state afterwards are the same bytes at a
+fraction of the cost.  The two structured families for the equality and
+bridging checks are documented where they are built.
 """
 
 from __future__ import annotations
@@ -109,8 +114,24 @@ class AuditReport:
 # ---------------------------------------------------------------------------
 
 
-def random_mass(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.dirichlet(np.ones(n))
+def random_mass(rng: np.random.Generator, n: int, rows: Optional[int] = None) -> np.ndarray:
+    """A uniform draw from the simplex on ``n`` symbols, or ``rows`` of them stacked.
+
+    Bit for bit ``rng.dirichlet(np.ones(n), size=rows)``, which draws each
+    entry as a standard exponential (a unit-shape gamma), adds a row from
+    left to right starting at 0.0, and multiplies the row by the reciprocal
+    of its total.  The row total here is the last entry of the running sum
+    (``np.add.accumulate``, which is ``cumsum``) because that adds in the
+    same order; ``np.sum`` adds pairwise from 8 entries on, and dividing
+    instead of multiplying rounds differently.
+    """
+    if rows is None:
+        x = rng.standard_exponential(n)
+        x *= 1.0 / np.add.accumulate(x)[-1]
+    else:
+        x = rng.standard_exponential((rows, n))
+        x *= 1.0 / np.add.accumulate(x, axis=1)[:, -1:]
+    return x
 
 
 def random_mixture(rng: np.random.Generator, n: Optional[int] = None) -> MixtureSource:
@@ -132,7 +153,7 @@ def random_mixture_pair(rng: np.random.Generator):
 def random_channel(rng: np.random.Generator, n_in: int, n_out: Optional[int] = None) -> Channel:
     if n_out is None:
         n_out = int(rng.integers(2, 7))
-    rows = rng.dirichlet(np.ones(n_out), size=n_in)
+    rows = random_mass(rng, n_out, n_in)
     return Channel(Alphabet(n_in), Alphabet(n_out), rows)
 
 
@@ -164,7 +185,7 @@ def equality_channel(rng: np.random.Generator, src: MixtureSource) -> Channel:
         else:
             block = slice(0, n_out)
         width = block.stop - block.start
-        rows[x, block] = rng.dirichlet(np.ones(width))
+        rows[x, block] = random_mass(rng, width)
     return Channel(src.alphabet, Alphabet(n_out), rows)
 
 
@@ -188,9 +209,9 @@ def bridging_pair(rng: np.random.Generator):
         p1[1] = 1.0 - h1
         p2[0] = 1.0 - h2
     else:
-        p1[1:] = (1.0 - h1) * rng.dirichlet(np.ones(n - 1))
+        p1[1:] = (1.0 - h1) * random_mass(rng, n - 1)
         rest = np.concatenate(([0], np.arange(2, n)))
-        p2[rest] = (1.0 - h2) * rng.dirichlet(np.ones(n - 1))
+        p2[rest] = (1.0 - h2) * random_mass(rng, n - 1)
     src = MixtureSource.from_masses(0.5, 0.5, p1, p2)
     # Merge symbols 0 and 1 into output 0; shift the others down.
     n_out = max(n - 1, 1)

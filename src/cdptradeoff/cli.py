@@ -115,6 +115,26 @@ def _as_float(value, path: str) -> float:
     raise ConfigError(path, f"expected a number, got {value!r}")
 
 
+def _as_array(value, path: str) -> np.ndarray:
+    """A config array of nested lists, each entry read by ``_as_float``'s rule.
+
+    A bad entry is named by its indices, as in ``degrade.rows[1][0]``; the
+    shape is for the object the array builds to check.  A list of JSON
+    floats, the common row, passes in one type test per entry.
+    """
+
+    def entries(value, path):
+        if isinstance(value, list):
+            if all(type(v) is float for v in value):
+                return value
+            return [entries(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        return _as_float(value, path)
+
+    if not isinstance(value, list):
+        raise ConfigError(path, "expected a list")
+    return np.asarray(entries(value, path), dtype=float)
+
+
 def _as_grid(value, path: str) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(path, "expected a list of numbers")
@@ -130,7 +150,7 @@ def _build_source(raw, path: str) -> MixtureSource:
     class2 = _get(raw, "class2", f"{path}.class2")
     with _naming(path):
         return MixtureSource.from_masses(
-            prior1, 1.0 - prior1, np.asarray(class1, dtype=float), np.asarray(class2, dtype=float)
+            prior1, 1.0 - prior1, _as_array(class1, f"{path}.class1"), _as_array(class2, f"{path}.class2")
         )
 
 
@@ -146,7 +166,7 @@ def _build_degrade(raw, source: MixtureSource, path: str) -> Channel:
         if kind == "identity":
             return Channel.identity(source.alphabet)
         if kind == "rows":
-            rows = np.asarray(_get(raw, "rows", f"{path}.rows"), dtype=float)
+            rows = _as_array(_get(raw, "rows", f"{path}.rows"), f"{path}.rows")
             if rows.ndim != 2 or rows.shape[0] != source.alphabet.size:
                 raise ConfigError(
                     path, f"rows must be a {source.alphabet.size}-row stochastic matrix"
@@ -178,7 +198,7 @@ def _build_distortion(raw, source: MixtureSource, restore: Alphabet, path: str) 
         if kind == "hamming":
             return DistortionMatrix.hamming(source.alphabet, restore)
         if kind == "matrix":
-            cost = np.asarray(_get(raw, "cost", f"{path}.cost"), dtype=float)
+            cost = _as_array(_get(raw, "cost", f"{path}.cost"), f"{path}.cost")
             return DistortionMatrix(source.alphabet, restore, cost)
     raise ConfigError(f"{path}.type", f"unknown distortion type {kind!r}")
 

@@ -14,6 +14,7 @@ from cdptradeoff.audit import (
     AuditReport,
     bridging_pair,
     check_bayes_concavity,
+    check_cdp_surface,
     check_closed_forms,
     check_data_processing,
     check_error_linearity,
@@ -21,12 +22,26 @@ from cdptradeoff.audit import (
     equality_channel,
     midpoint_excess,
     random_channel,
+    random_mass,
     random_mixture,
     run_audit,
 )
 
 
 class TestGenerators:
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 3])
+    def test_random_mass_is_an_all_ones_dirichlet_to_the_byte(self, seed):
+        # ``Generator.dirichlet`` is the reference the exponential sampler
+        # replaces: same bytes, and the generator left in the same state.
+        for n in range(1, 13):
+            for rows in (None, *range(1, 8)):
+                ours, ref = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+                got = random_mass(ours, n, rows)
+                want = ref.dirichlet(np.ones(n), size=rows)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (n, rows)
+                assert ours.random() == ref.random()
+
     def test_random_mixture_is_valid(self, rng):
         for _ in range(50):
             src = random_mixture(rng)
@@ -158,3 +173,26 @@ class TestFrozenAuditOutputs:
     def test_report_bytes_are_unchanged(self, seed):
         payload = json.dumps(run_audit(seed, trials=200).to_dict())
         assert hashlib.sha256(payload.encode()).hexdigest() == self.DIGESTS[seed]
+
+
+class TestFrozenTrialViolations:
+    """SHA-256 over every violation each suite yields, at ``run_audit``'s seeding and 200 trials.
+
+    ``TestFrozenAuditOutputs`` pins each suite's worst violation only, so a
+    change that moves any other trial would pass it; this pins them all.
+    """
+
+    DIGESTS = {
+        0: "1d1c42ffc5bd766d9005aa7927ca5a15070c0b367f027f558c3748d268734aac",
+        1: "553b28fe48d978b0d42a29ec02fa42daa7d650ad83ff8930eba35a8e0fd05899",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_every_trial_is_unchanged(self, seed):
+        h = hashlib.sha256()
+        for index, suite in enumerate(ALL_SUITES):
+            trials = SURFACE_TRIALS if suite in (check_cdp_surface, check_scdp_surface) else 200
+            violations = suite.__wrapped__(np.random.default_rng([seed, index]), trials)
+            h.update(suite.__name__.encode())
+            h.update(np.array(list(violations), dtype="<f8").tobytes())
+        assert h.hexdigest() == self.DIGESTS[seed]

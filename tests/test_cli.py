@@ -155,6 +155,10 @@ class TestExitCodes:
             ({"classifier": {"indices": [1.5]}}, "classifier"),
             ({"source": {"prior1": True}}, "source.prior1"),
             ({"d_grid": [True]}, "d_grid[0]"),
+            ({"source": {"class1": [True, False]}}, "source.class1[0]"),
+            ({"source": {"class2": 0.5}}, "source.class2"),
+            ({"degrade": {"type": "rows", "rows": [[0.5, 0.5], [True, False]]}}, "degrade.rows[1][0]"),
+            ({"distortion": {"type": "matrix", "cost": [[0, True], [1, 0]]}}, "distortion.cost[0][1]"),
         ],
     )
     def test_config_errors_exit_2_naming_the_field(self, tmp_path, capsys, overrides, field):

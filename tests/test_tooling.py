@@ -1,6 +1,6 @@
 """Tooling that reaches into the library from outside: the benchmark's traced
 runs, the import boundary that keeps the lattice oracle independent, and the
-README's quickstart."""
+README's quickstart and audit paragraph."""
 
 import ast
 import importlib.util
@@ -8,7 +8,7 @@ import math
 import pathlib
 import re
 
-from cdptradeoff import solver
+from cdptradeoff import audit, solver
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -62,3 +62,18 @@ def test_readme_quickstart_runs(capsys):
     [block] = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
     exec(compile(block, str(README), "exec"), {"__name__": "readme_quickstart"})
     assert capsys.readouterr().out.count("\n") >= 4
+
+
+def test_readme_audit_paragraph_states_the_trial_counts():
+    # The README's ``audit`` bullet quotes the audit module's trial counts;
+    # each number it states must be the constant's value.
+    [bullet] = re.findall(r"^- `audit` runs .*?(?=^- )", README.read_text(encoding="utf-8"), re.M | re.S)
+    text = " ".join(bullet.split())
+    stated = re.search(r"\(default (\d+)\).*always run (\d+) trials.*adds (\d+) equality and (\d+) bridging", text)
+    assert stated, text
+    assert [int(n) for n in stated.groups()] == [
+        audit.DEFAULT_TRIALS,
+        audit.SURFACE_TRIALS,
+        audit.STRUCTURED_TRIALS,
+        audit.STRUCTURED_TRIALS,
+    ]
