@@ -105,12 +105,13 @@ def _as_object(raw, path: str) -> dict:
 def _as_float(value, path: str) -> float:
     """A config number; whether its value is allowed is for the object it builds to say.
 
-    JSON ``true`` and ``false`` are Python ints, but they are not numbers here.
+    Only a JSON number is a number here: ``true`` and ``false`` are Python
+    ints, and a quoted number such as ``"0.5"`` is a string, so neither is.
     """
-    if not isinstance(value, bool):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except OverflowError:  # an integer literal beyond the float range
             pass
     raise ConfigError(path, f"expected a number, got {value!r}")
 
@@ -138,7 +139,7 @@ def _as_array(value, path: str) -> np.ndarray:
 def _as_grid(value, path: str) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(path, "expected a list of numbers")
-    grid = [_as_float(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    grid = [math.inf if v == "inf" else _as_float(v, f"{path}[{i}]") for i, v in enumerate(value)]
     with _naming(path):
         return check_grid(grid, path)
 
@@ -461,9 +462,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO

@@ -246,6 +246,8 @@ class MixtureSource:
     @classmethod
     def from_masses(cls, prior1: float, prior2: float, class1, class2) -> "MixtureSource":
         c1 = np.asarray(class1, dtype=np.float64)
+        if c1.ndim != 1:
+            raise DimensionError(f"class1 must be a vector of masses, got ndim={c1.ndim}")
         alphabet = Alphabet(c1.shape[0])
         return cls(alphabet, prior1, prior2, ProbVector(alphabet, c1), ProbVector(alphabet, class2))
 

@@ -76,11 +76,9 @@ REGION_STOP_TOL = 1e-12
 # Tight primal feasibility keeps returned kernels within the budget-slack
 # contract; the dual tolerance stays looser because 1e-10 makes the dual
 # simplex stall on near-degenerate costs, and 1e-8 optimality is far inside
-# the certificate budgets.  Every solve also turns presolve off: on alphabets
-# of up to 8 symbols the LPs without cuts have at most 72 columns and 26
-# rows, so presolve costs more than it saves.  The retry uses the interior
-# point solver (with crossover), because on some LPs with many steep cut rows
-# the dual simplex ends outside its primal tolerance at any setting.
+# the certificate budgets.  The retry uses the interior point solver (with
+# crossover), because on some LPs with many steep cut rows the dual simplex
+# ends outside its primal tolerance at any setting.
 _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-8,
@@ -202,10 +200,11 @@ class ProblemInstance:
         return self.region_weights(self.classifier.members)
 
     def region_weights(self, members: np.ndarray) -> np.ndarray:
-        """W[y, xhat] for the decision region whose indicator over Xhat is ``members``."""
+        """W[..., y, xhat] for the decision regions whose indicators over Xhat
+        are the last axis of ``members``."""
         w_in = self.source.prior2 * self.p_y2
         w_out = self.source.prior1 * self.p_y1
-        return np.where(members[None, :], w_in[:, None], w_out[:, None])
+        return np.where(members[..., None, :], w_in[:, None], w_out[:, None])
 
     @cached_property
     def distortion_weights(self) -> np.ndarray:
@@ -320,82 +319,76 @@ def _lp_model(
     perc_budget: float,
     cuts: Optional[tuple] = None,
 ) -> _LpModel:
-    """Write the one LP over restoration kernels straight into column-wise arrays.
+    """Write the one LP over restoration kernels as one dense matrix, then
+    hand it over column-wise.
 
     Columns: the kernel entries K[y, j] in row-major order, then one slack s_j
     per restored symbol when P is finite and there are no cuts, or the
-    epigraph column t in [0, P] when there are.  Rows, inequalities first; the
-    order is kept fixed so HiGHS always gets the same model and so returns the
-    same optimal vertices (a reordered model can pivot to a different one):
-    <G, K> <= D when D is finite; either the slack
-    rows (K^T p_Y)_j - s_j <= p_X[j], -(K^T p_Y)_j - s_j <= -p_X[j] and the
-    total-variation row 0.5 * sum_j s_j <= P, or one row g_i . K^T p_Y - t <= h_i
-    per cut of ``cuts = (g, h)``, divided by max(1, max |g_i|) to keep steep
-    cuts scaled; then the stochastic rows sum_j K[y, j] = 1.  At P = 0 the
-    total-variation row pins the restored marginal to p_X, the only point
-    where any supported divergence vanishes.  ``cost`` may hold one entry
-    more, the epigraph column's.
+    epigraph column t in [0, P] when there are.  ``cost`` may hold one entry
+    more, the epigraph column's.  Rows, in blocks written in this order, which
+    is kept fixed so HiGHS always gets the same model and so returns the same
+    optimal vertices (a reordered model can pivot to a different one):
+
+    1. the distortion row <G, K> <= D, when D is finite;
+    2. either the slack pairs (K^T p_Y)_j - s_j <= p_X[j] and
+       -(K^T p_Y)_j - s_j <= -p_X[j], one pair per symbol, and the
+       total-variation row 0.5 * sum_j s_j <= P; or one row
+       g_i . K^T p_Y - t <= h_i per cut of ``cuts = (g, h)``, divided by
+       max(1, max |g_i|) to keep steep cuts scaled;
+    3. the stochastic rows sum_j K[y, j] = 1.
+
+    At P = 0 the total-variation row pins the restored marginal to p_X, the
+    only point where any supported divergence vanishes.
     """
     ny, nxh = prob.kernel_shape
     nk = ny * nxh
     m = 0 if cuts is None else len(cuts[1])
-    has_d, has_p = math.isfinite(dist_budget), math.isfinite(perc_budget) and not m
-    slack_row = int(has_d)
-    total_row = slack_row + 2 * nxh
-    cut_row = total_row + 1 if has_p else slack_row
-    stochastic_row = cut_row + m
+    has_p = math.isfinite(perc_budget) and not m
     n_cols = nk + (nxh if has_p else 0) + (m > 0)
+    blocks = []  # (rows of A, their upper bounds)
 
-    # One padded line of (row, value) entries per column, rows ascending:
-    # a kernel column meets the distortion row, the two slack rows of its
-    # symbol or every cut row, and its stochastic row, so its slack or cut
-    # entries start at position slack_row; a slack column meets its two
-    # slack rows and the total row; the epigraph column meets every cut row.
-    # Zeros, padding included, are dropped below.
-    index = np.zeros((n_cols, has_d + 2 * has_p + m + 1), dtype=np.int32)
-    value = np.zeros(index.shape)
-    y, j = np.divmod(np.arange(nk), nxh)
-    if has_d:
-        value[:nk, 0] = prob.distortion_weights.ravel()
+    def rows(count):
+        """Append ``count`` zero rows; return them, a (row, y, j) view of
+        their kernel columns and their upper bounds, to be filled."""
+        A, upper = np.zeros((count, n_cols)), np.empty(count)
+        blocks.append((A, upper))
+        return A, A[:, :nk].reshape(count, ny, nxh), upper
+
+    if math.isfinite(dist_budget):
+        _, K, upper = rows(1)
+        K[0], upper[0] = prob.distortion_weights, dist_budget
     if has_p:
-        pos = slack_row + 2 * j
-        index[:nk, slack_row] = pos
-        index[:nk, slack_row + 1] = pos + 1
-        value[:nk, slack_row] = prob.p_y[y]
-        value[:nk, slack_row + 1] = -value[:nk, slack_row]
-        index[nk:, 0] = np.arange(slack_row, total_row, 2)
-        index[nk:, 1] = index[nk:, 0] + 1
-        index[nk:, 2] = total_row
-        value[nk:, :3] = (-1.0, -1.0, 0.5)
+        A, K, upper = rows(2 * nxh + 1)
+        # Rows 2j and 2j + 1, of sign +1 and -1, are symbol j's pair:
+        # sign * (K^T p_Y)_j - s_j <= sign * p_X[j].
+        sign, j = np.array([1.0, -1.0]), np.arange(nxh)
+        K[:-1].reshape(nxh, 2, ny, nxh)[j, :, :, j] = np.outer(sign, prob.p_y)
+        A[:-1, nk:].reshape(nxh, 2, nxh)[j, :, j] = -1.0
+        upper[:-1] = np.outer(prob.p_x, sign).ravel()
+        A[-1, nk:], upper[-1] = 0.5, perc_budget
     if m:
         slopes, offsets = cuts
         scale = np.maximum(np.abs(slopes).max(axis=1), 1.0)
-        index[:nk, slack_row : slack_row + m] = index[nk, :m] = np.arange(cut_row, stochastic_row)
-        value[:nk, slack_row : slack_row + m] = prob.p_y[y, None] * (slopes / scale[:, None]).T[j]
-        value[nk, :m] = -1.0 / scale
-    index[:nk, -1] = stochastic_row + y
-    value[:nk, -1] = 1.0
-    keep = value != 0.0
-    start = np.zeros(n_cols + 1, dtype=np.int32)
-    np.cumsum(keep.sum(axis=1), out=start[1:])
+        A, K, upper = rows(m)
+        K[:] = prob.p_y[:, None] * (slopes / scale[:, None])[:, None, :]
+        A[:, nk], upper[:] = -1.0 / scale, offsets / scale
+    _, K, upper = rows(ny)
+    y = np.arange(ny)
+    K[y, y], upper[:] = 1.0, 1.0  # row y: sum_j K[y, j] = 1
+    A, row_upper = map(np.concatenate, zip(*blocks))
+    row_lower = np.full(len(row_upper), -np.inf)
+    row_lower[-ny:] = 1.0  # the stochastic rows are equalities
 
-    row_lower = np.full(stochastic_row + ny, -np.inf)
-    row_upper = np.empty(stochastic_row + ny)
-    if has_d:
-        row_upper[0] = dist_budget
-    if has_p:
-        row_upper[slack_row:total_row:2] = prob.p_x
-        row_upper[slack_row + 1 : total_row : 2] = -prob.p_x
-        row_upper[total_row] = perc_budget
-    row_lower[stochastic_row:] = row_upper[stochastic_row:] = 1.0
+    col, row = np.nonzero(A.T != 0.0)  # column-major, so rows ascend within each column
+    start = np.zeros(n_cols + 1, dtype=np.int32)
+    start[1:] = np.bincount(col, minlength=n_cols).cumsum()
     c = np.zeros(n_cols)
     c[: cost.size] = cost.ravel()
     col_upper = np.full(n_cols, 2.0)
     col_upper[:nk] = 1.0
     if m:
-        row_upper[cut_row:stochastic_row] = offsets / scale
         col_upper[nk] = perc_budget
-    return _LpModel(c, np.zeros(n_cols), col_upper, row_lower, row_upper, start, index[keep], value[keep])
+    return _LpModel(c, np.zeros(n_cols), col_upper, row_lower, row_upper, start, row.astype(np.int32), A[row, col])
 
 
 def _highs_run(model: _LpModel, tolerances: dict, ipm: bool) -> tuple:
@@ -621,7 +614,7 @@ def _minimize_linear(prob: ProblemInstance, cost: np.ndarray, dist_budget: float
     if no_perception or perc_budget == 0.0 or prob.divergence.name == TOTAL_VARIATION:
         _, kernel, iterations = _solve_kernel(prob, cost, dist_budget, perc_budget)
         if kernel is not None:
-            notes = "vertex solution from the simplex/HiGHS path"
+            notes = "one linear program, solved by HiGHS"
             return _outcome(SolveStatus.OPTIMAL, kernel, "lp", iterations, notes)
         # Distortion feasibility was pre-checked; the perception side is to blame.
         notes = "no kernel meets the perception budget jointly with the distortion budget"
@@ -688,13 +681,13 @@ def solve_scdp(prob: ProblemInstance, dist_budget: float, perc_budget: float) ->
     n = prob.restore_alphabet.size
     count = 2**n
     regions = (np.arange(count)[:, None] >> np.arange(n)[None, :]) & 1 == 1
-    weights = [prob.region_weights(members) for members in regions]
-    bounds = [float(W.min(axis=1).sum()) for W in weights]
+    weights = prob.region_weights(regions)
+    bounds = weights.min(axis=2).sum(axis=1)
     best_val, best_K, lower = math.inf, None, math.inf
     iterations = solved = 0
-    for r in sorted(range(count), key=lambda r: (bounds[r], r)):
+    for r in np.argsort(bounds, kind="stable"):
         if bounds[r] >= best_val - REGION_STOP_TOL:
-            lower = min(lower, bounds[r])
+            lower = min(lower, float(bounds[r]))
             break
         status, kernel, cert = _minimize_linear(prob, weights[r], dist_budget, perc_budget)
         if kernel is None:

@@ -159,6 +159,11 @@ class TestExitCodes:
             ({"source": {"class2": 0.5}}, "source.class2"),
             ({"degrade": {"type": "rows", "rows": [[0.5, 0.5], [True, False]]}}, "degrade.rows[1][0]"),
             ({"distortion": {"type": "matrix", "cost": [[0, True], [1, 0]]}}, "distortion.cost[0][1]"),
+            ({"source": {"prior1": "0.5"}}, "source.prior1"),
+            ({"source": {"class1": ["0.5", "0.5"]}}, "source.class1[0]"),
+            ({"degrade": {"type": "bsc", "flip": " 1e-1 "}}, "degrade.flip"),
+            ({"d_grid": [0.1, "Infinity"]}, "d_grid[1]"),
+            ({"source": {"prior1": 10**400}}, "source.prior1"),
         ],
     )
     def test_config_errors_exit_2_naming_the_field(self, tmp_path, capsys, overrides, field):

@@ -342,6 +342,11 @@ class TestMixtureSource:
         with pytest.raises(InvalidDistributionError, match="priors must be finite"):
             MixtureSource.from_masses(*priors, [1.0, 0.0], [0.0, 1.0])
 
+    @pytest.mark.parametrize("class1", [1.0, [[0.5, 0.5]]])
+    def test_from_masses_rejects_class1_that_is_not_a_vector(self, class1):
+        with pytest.raises(DimensionError, match=r"^class1 must be a vector of masses, got ndim=[02]$"):
+            MixtureSource.from_masses(0.5, 0.5, class1, 1.0)
+
     def test_rejects_mismatched_class_alphabets(self):
         a2, a3 = Alphabet(2), Alphabet(3)
         with pytest.raises(DimensionError):

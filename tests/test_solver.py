@@ -544,6 +544,68 @@ class TestLpPaths:
             if x is not None:
                 assert abs(model.c @ x - ref.fun) <= 1e-12
 
+    def test_lp_model_writes_the_documented_rows(self, rng, monkeypatch):
+        # Each model, expanded to a dense matrix, is exactly the LP that the
+        # reference below writes entry by entry from G, p_Y, p_X, the cuts and
+        # the budgets: the distortion row when D is finite; the slack pairs and
+        # the total-variation row when P is finite and there are no cuts, or one
+        # scaled row per cut against the epigraph column; the stochastic rows.
+        calls = []
+        lp_model = solver._lp_model
+
+        def recorded(prob, cost, D, P, cuts=None):
+            calls.append(((prob, cost, D, P, cuts), lp_model(prob, cost, D, P, cuts)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(solver, "_lp_model", recorded)
+        for cell in self.cells(rng):
+            solve_cdp(*cell)
+            solve_scdp(*cell)
+        assert any(args[4] is not None for args, _ in calls)
+
+        for (prob, cost, D, P, cuts), model in calls:
+            ny, nxh = prob.kernel_shape
+            nk = ny * nxh
+            G, p_y, p_x = prob.distortion_weights, prob.p_y, prob.p_x
+            slopes, offsets = cuts if cuts is not None else ((), ())
+            has_p = math.isfinite(P) and not len(offsets)
+            kernel = [(y, j) for y in range(ny) for j in range(nxh)]  # column c holds K[y, j]
+            rows = []  # ({column: value}, lower, upper)
+            if math.isfinite(D):
+                rows.append(({c: G[y, j] for c, (y, j) in enumerate(kernel)}, -math.inf, D))
+            if has_p:
+                for j in range(nxh):
+                    column = {c: p_y[y] for c, (y, k) in enumerate(kernel) if k == j}
+                    rows.append(({**column, nk + j: -1.0}, -math.inf, p_x[j]))
+                    rows.append(({**{c: -v for c, v in column.items()}, nk + j: -1.0}, -math.inf, -p_x[j]))
+                rows.append(({nk + j: 0.5 for j in range(nxh)}, -math.inf, P))
+            for g, h in zip(slopes, offsets):
+                scale = max(1.0, *(abs(v) for v in g))
+                row = {c: p_y[y] * (g[j] / scale) for c, (y, j) in enumerate(kernel)}
+                rows.append(({**row, nk: -1.0 / scale}, -math.inf, h / scale))
+            for y in range(ny):
+                rows.append(({c: 1.0 for c, (z, _) in enumerate(kernel) if z == y}, 1.0, 1.0))
+            col_upper = [1.0] * nk + ([2.0] * nxh if has_p else []) + ([P] if len(offsets) else [])
+            dense = np.zeros((len(rows), len(col_upper)))
+            for r, (entries, _, _) in enumerate(rows):
+                for c, v in entries.items():
+                    dense[r, c] = v
+
+            assert model.index.dtype == model.start.dtype == np.int32
+            assert len(model.start) == len(col_upper) + 1 and model.start[0] == 0
+            assert model.start[-1] == len(model.value) == len(model.index)
+            for i in range(len(col_upper)):
+                assert np.all(np.diff(model.index[model.start[i] : model.start[i + 1]]) > 0)
+            assert np.all(model.value != 0.0)
+            A = np.zeros(dense.shape)
+            A[model.index, np.repeat(np.arange(len(col_upper)), np.diff(model.start))] = model.value
+            assert np.array_equal(A, dense)
+            assert np.array_equal(model.row_lower, [lo for _, lo, _ in rows])
+            assert np.array_equal(model.row_upper, [hi for _, _, hi in rows])
+            assert np.array_equal(model.c, np.append(cost.ravel(), np.zeros(len(col_upper) - cost.size)))
+            assert np.array_equal(model.col_lower, np.zeros(len(col_upper)))
+            assert np.array_equal(model.col_upper, col_upper)
+
     def test_interior_point_retry_takes_over_from_a_stalled_simplex(self, rng, monkeypatch):
         # On some LPs with many steep cut rows the dual simplex stops outside
         # its primal tolerance; the retry solves the same arrays by interior point.
