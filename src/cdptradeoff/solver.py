@@ -27,10 +27,10 @@ Every linear program goes to HiGHS through the bindings scipy bundles
 (without cuts, at most 72 columns and 26 rows on alphabets of up to 8
 symbols) and presolve costs more than it saves.
 
-Solvers are pure functions of their inputs: each LP is built from arrays and
-handed to a fresh HiGHS instance, no model or basis is kept between calls,
-and sweeps solve every cell from scratch so results cannot depend on
-evaluation order.
+Solvers are pure functions of their inputs: each public call solves its LPs
+on one HiGHS instance of its own, built on its first LP and cleared before
+each LP, so no model or basis outlives a call, and sweeps solve every cell
+from scratch so results cannot depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ _highspy = _load_highs()
 
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on first use.  The solver never
-    calls it: every LP goes to ``_highs_run``.  The name stays because
+    calls it: every LP goes to ``_Engine.run``.  The name stays because
     ``perfbench/spans.py`` wraps it in traced benchmark runs."""
     from scipy.optimize import linprog as scipy_linprog
 
@@ -391,89 +391,96 @@ def _lp_model(
     return _LpModel(c, np.zeros(n_cols), col_upper, row_lower, row_upper, start, row.astype(np.int32), A[row, col])
 
 
-def _highs_run(model: _LpModel, tolerances: dict, ipm: bool) -> tuple:
-    """Solve on a fresh HiGHS instance: (status, x or None, simplex and
-    interior-point iterations)."""
-    highs = _highspy._Highs()
-    highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("presolve", "off")
-    if ipm:
-        highs.setOptionValue("solver", "ipm")
-    for name, val in tolerances.items():
-        highs.setOptionValue(name, val)
-    n_col = len(model.c)
-    status = highs.passModel(
-        n_col,
-        len(model.row_lower),
-        len(model.value),
-        _highspy.MatrixFormat.kColwise,
-        _highspy.ObjSense.kMinimize,
-        0.0,
-        *model,
-        np.zeros(n_col, np.int32),  # every column continuous; an empty array is an error
-    )
-    # A warning reports matrix entries of size at most 1e-9, which HiGHS drops.
-    if status == _highspy.HighsStatus.kError:
-        raise RuntimeError("HiGHS rejected the linear program")
-    highs.run()
-    status = highs.getModelStatus()
-    iterations = sum(
-        max(int(highs.getInfoValue(name)[1]), 0) for name in ("simplex_iteration_count", "ipm_iteration_count")
-    )
-    if status == _highspy.HighsModelStatus.kOptimal:
-        return "optimal", np.array(highs.getSolution().col_value), iterations
-    if status == _highspy.HighsModelStatus.kInfeasible:
-        return "infeasible", None, iterations
-    return highs.modelStatusToString(status), None, iterations
+class _Engine:
+    """The HiGHS instance and the work counters of one public solve.
 
+    ``solve_cdp`` and ``solve_scdp`` each make one and drop it on return.  The
+    instance is built on the call's first LP, so a cell that solves none
+    builds none.  The counters are the certificate's.
+    """
 
-def _solve_lp(model: _LpModel) -> tuple:
-    """(x, or None when infeasible; iterations), retried once looser,
-    by interior point, if the simplex stalls."""
-    iterations = 0
-    for tolerances, ipm in ((_HIGHS_OPTIONS, False), (_HIGHS_FALLBACK, True)):
-        status, x, nit = _highs_run(model, tolerances, ipm)
-        iterations += nit
-        if status in ("optimal", "infeasible"):
-            return x, iterations
-    raise RuntimeError(f"linear program failed unexpectedly ({status})")
+    def __init__(self):
+        self._highs, self.lp_solves, self.iterations, self.cuts = None, 0, 0, 0
 
+    def run(self, model: _LpModel) -> Optional[np.ndarray]:
+        """x of ``model``, or None when it is infeasible.  Each attempt starts
+        from a cleared model and sets its own options: the simplex, then, if it
+        stalls, interior point at the looser tolerances."""
+        highs = self._highs
+        if highs is None:
+            highs = self._highs = _highspy._Highs()
+            highs.setOptionValue("output_flag", False)
+            highs.setOptionValue("presolve", "off")
+        self.lp_solves += 1
+        n_col = len(model.c)
+        for solver, tolerances in (("choose", _HIGHS_OPTIONS), ("ipm", _HIGHS_FALLBACK)):
+            highs.clearModel()
+            for name, val in {"solver": solver, **tolerances}.items():
+                highs.setOptionValue(name, val)
+            status = highs.passModel(
+                n_col,
+                len(model.row_lower),
+                len(model.value),
+                _highspy.MatrixFormat.kColwise,
+                _highspy.ObjSense.kMinimize,
+                0.0,
+                *model,
+                np.zeros(n_col, np.int32),  # every column continuous; an empty array is an error
+            )
+            # A warning reports matrix entries of size at most 1e-9, which HiGHS drops.
+            if status == _highspy.HighsStatus.kError:
+                raise RuntimeError("HiGHS rejected the linear program")
+            highs.run()
+            for name in ("simplex_iteration_count", "ipm_iteration_count"):
+                self.iterations += max(int(highs.getInfoValue(name)[1]), 0)
+            status = highs.getModelStatus()
+            if status == _highspy.HighsModelStatus.kOptimal:
+                return np.array(highs.getSolution().col_value)
+            if status == _highspy.HighsModelStatus.kInfeasible:
+                return None
+        raise RuntimeError(f"linear program failed unexpectedly ({highs.modelStatusToString(status)})")
 
-def _solve_kernel(
-    prob: ProblemInstance, cost: np.ndarray, dist_budget: float, perc_budget: float, cuts: Optional[list] = None
-) -> tuple:
-    """Solve the one LP, with the (slope, offset) pairs in ``cuts`` as cut rows:
-    (x, the kernel cut out of x with solver dust clipped off and rows
-    renormalized, iterations); x and the kernel are None when the LP
-    is infeasible."""
-    arrays = tuple(map(np.array, zip(*cuts))) if cuts else None
-    x, iterations = _solve_lp(_lp_model(prob, cost, dist_budget, perc_budget, arrays))
-    if x is None:
-        return None, None, iterations
-    ny, nxh = prob.kernel_shape
-    kernel = np.clip(x[: ny * nxh].reshape(ny, nxh), 0.0, None)
-    return x, kernel / kernel.sum(axis=1, keepdims=True), iterations
+    def kernel(
+        self, prob: ProblemInstance, cost: np.ndarray, dist_budget: float, perc_budget: float, cuts: Sequence = ()
+    ) -> tuple:
+        """Solve the one LP, with the (slope, offset) pairs in ``cuts`` as cut
+        rows: (x, the kernel cut out of x with solver dust clipped off and rows
+        renormalized); both are None when the LP is infeasible."""
+        arrays = tuple(map(np.array, zip(*cuts))) if cuts else None
+        x = self.run(_lp_model(prob, cost, dist_budget, perc_budget, arrays))
+        if x is None:
+            return None, None
+        ny, nxh = prob.kernel_shape
+        kernel = np.clip(x[: ny * nxh].reshape(ny, nxh), 0.0, None)
+        return x, kernel / kernel.sum(axis=1, keepdims=True)
+
+    def add_cuts(self, prob: ProblemInstance, cuts: list, *marginals: np.ndarray) -> None:
+        """Append to ``cuts`` a tangent cut at each restored marginal."""
+        cuts += [_tangent_cut(prob, q) for q in marginals]
+        self.cuts += len(marginals)
 
 
 def _outcome(
+    engine: _Engine,
     status: SolveStatus,
     kernel: Optional[np.ndarray],
     method: str,
-    iterations: int,
     notes: str,
     gap: float = 0.0,
     violated: Optional[str] = None,
-    **counters,
+    **details,
 ) -> tuple:
-    """(status, kernel, certificate) of one solve; the certificate states no
-    duality gap when there is no kernel."""
+    """(status, kernel, certificate) of one solve, with the engine's counters;
+    the certificate states no duality gap when there is no kernel."""
     certificate = {
         "method": method,
-        "iterations": iterations,
+        "iterations": engine.iterations,
+        "lp_solves": engine.lp_solves,
+        "cuts": engine.cuts,
         "duality_gap": None if kernel is None else gap,
         "violated": violated,
         "notes": notes,
-        **counters,
+        **details,
     }
     return status, kernel, certificate
 
@@ -495,7 +502,9 @@ def _tangent_cut(prob: ProblemInstance, q: np.ndarray) -> tuple:
     return slope, float(slope @ point) - _divergence_arrays(kind, p, point)
 
 
-def _cut_minimize(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, perc_budget: float) -> tuple:
+def _cut_minimize(
+    engine: _Engine, prob: ProblemInstance, cost: np.ndarray, dist_budget: float, perc_budget: float
+) -> tuple:
     """Smooth divergences, 0 < P < inf: the one LP plus tangent cuts of the divergence.
 
     The divergence depends on K only through q = K^T p_Y, and a tangent cut
@@ -515,27 +524,14 @@ def _cut_minimize(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, p
     p_y = prob.p_y
     div = partial(_divergence_arrays, prob.divergence, prob.p_x)
     cuts = []  # (slope, offset) pairs
-    lp_solves = iterations = 0
-    anchor_kind = None
-
-    def solve(lp_cost, perc):
-        nonlocal lp_solves, iterations
-        x, kernel, nit = _solve_kernel(prob, lp_cost, dist_budget, perc, cuts)
-        lp_solves += 1
-        iterations += nit
-        return x, kernel
-
-    def outcome(status, kernel, notes, gap=0.0, violated=None):
-        counters = {"lp_solves": lp_solves, "cuts": len(cuts), "anchor": anchor_kind}
-        return _outcome(status, kernel, "cuts", iterations, notes, gap, violated, **counters)
-
-    _, K = solve(cost, math.inf)
+    _, K = engine.kernel(prob, cost, dist_budget, math.inf)
     q = K.T @ p_y
     if div(q) <= perc_budget:
-        return outcome(SolveStatus.OPTIMAL, K, "perception constraint inactive at the LP optimum")
+        notes = "perception constraint inactive at the LP optimum"
+        return _outcome(engine, SolveStatus.OPTIMAL, K, "cuts", notes, anchor=None)
     lower = float(np.sum(cost * K))
 
-    _, anchor = solve(cost, 0.0)
+    _, anchor = engine.kernel(prob, cost, dist_budget, 0.0)
     if anchor is not None:
         anchor_kind = "pinned"
     else:
@@ -547,22 +543,23 @@ def _cut_minimize(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, p
             div((cheapest / cheapest.sum(axis=1, keepdims=True)).T @ p_y)
         ):
             notes = "every kernel at the minimum distortion misses the support the divergence needs"
-            return outcome(SolveStatus.INFEASIBLE, None, notes, violated="perception")
-        cuts.append(_tangent_cut(prob, q))
+            return _outcome(engine, SolveStatus.INFEASIBLE, None, "cuts", notes, violated="perception", anchor=None)
+        engine.add_cuts(prob, cuts, q)
         epigraph_cost = np.zeros(ny * nxh + 1)
         epigraph_cost[-1] = 1.0
         for _ in range(CUT_ROUNDS):
-            x, candidate = solve(epigraph_cost, perc_budget)
+            x, candidate = engine.kernel(prob, epigraph_cost, dist_budget, perc_budget, cuts)
             if x is None:
                 notes = "tangent cuts bound the divergence above the budget on every distortion-feasible kernel"
-                return outcome(SolveStatus.INFEASIBLE, None, notes, violated="perception")
+                return _outcome(engine, SolveStatus.INFEASIBLE, None, "cuts", notes, violated="perception", anchor=None)
             q_c = candidate.T @ p_y
             if div(q_c) <= 0.5 * (perc_budget + x[-1]):
                 anchor, anchor_kind = candidate, "epigraph"
                 break
-            cuts.append(_tangent_cut(prob, q_c))
+            engine.add_cuts(prob, cuts, q_c)
         else:
-            return outcome(SolveStatus.ITERATION_LIMIT, None, f"no anchor inside the budget in {CUT_ROUNDS} rounds")
+            notes = f"no anchor inside the budget in {CUT_ROUNDS} rounds"
+            return _outcome(engine, SolveStatus.ITERATION_LIMIT, None, "cuts", notes, anchor=None)
     q_anchor = anchor.T @ p_y
     best, upper = anchor, float(np.sum(cost * anchor))
     # A cost of GENERAL_GAP_TOL / (10 P) on t picks, among LP optima, the one
@@ -584,8 +581,8 @@ def _cut_minimize(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, p
             best, upper = boundary, float(np.sum(cost * boundary))
         if upper - lower <= GENERAL_GAP_TOL:
             break
-        cuts += [_tangent_cut(prob, q), _tangent_cut(prob, boundary.T @ p_y)]
-        x, K = solve(lp_cost, perc_budget)
+        engine.add_cuts(prob, cuts, q, boundary.T @ p_y)
+        x, K = engine.kernel(prob, lp_cost, dist_budget, perc_budget, cuts)
         if K is None:
             break
         q = K.T @ p_y
@@ -595,31 +592,33 @@ def _cut_minimize(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, p
             break
     gap = max(upper - lower, 0.0)
     status = SolveStatus.OPTIMAL if gap <= GENERAL_GAP_TOL else SolveStatus.ITERATION_LIMIT
-    return outcome(status, best, "LP plus tangent cuts of the divergence", gap)
+    notes = "LP plus tangent cuts of the divergence"
+    return _outcome(engine, status, best, "cuts", notes, gap, anchor=anchor_kind)
 
 
-def _minimize_linear(prob: ProblemInstance, cost: np.ndarray, dist_budget: float, perc_budget: float) -> tuple:
+def _minimize_linear(
+    engine: _Engine, prob: ProblemInstance, cost: np.ndarray, dist_budget: float, perc_budget: float
+) -> tuple:
     """Minimize a linear kernel functional under the distortion and perception
-    budgets: (status, kernel or None, certificate)."""
+    budgets, on ``engine``: (status, kernel or None, certificate)."""
     dmin = min_distortion(prob)
     if dist_budget < dmin - 1e-12:
         notes = f"distortion budget {dist_budget} below the achievable minimum {dmin}"
-        return _outcome(SolveStatus.INFEASIBLE, None, "precheck", 0, notes, violated="distortion")
+        return _outcome(engine, SolveStatus.INFEASIBLE, None, "precheck", notes, violated="distortion")
     no_perception = not math.isfinite(perc_budget)
     if no_perception and not math.isfinite(dist_budget):
         notes = "unconstrained: per-output-symbol minimization"
-        return _outcome(SolveStatus.OPTIMAL, _argmin_rows(cost), "vertex", 1, notes)
+        return _outcome(engine, SolveStatus.OPTIMAL, _argmin_rows(cost), "vertex", notes)
     # Every supported divergence vanishes only at p_Xhat = p_X, so a zero
     # budget is the total-variation LP with its budget at zero.
     if no_perception or perc_budget == 0.0 or prob.divergence.name == TOTAL_VARIATION:
-        _, kernel, iterations = _solve_kernel(prob, cost, dist_budget, perc_budget)
+        _, kernel = engine.kernel(prob, cost, dist_budget, perc_budget)
         if kernel is not None:
-            notes = "one linear program, solved by HiGHS"
-            return _outcome(SolveStatus.OPTIMAL, kernel, "lp", iterations, notes)
+            return _outcome(engine, SolveStatus.OPTIMAL, kernel, "lp", "one linear program, solved by HiGHS")
         # Distortion feasibility was pre-checked; the perception side is to blame.
         notes = "no kernel meets the perception budget jointly with the distortion budget"
-        return _outcome(SolveStatus.INFEASIBLE, None, "lp", iterations, notes, violated="perception")
-    return _cut_minimize(prob, cost, dist_budget, perc_budget)
+        return _outcome(engine, SolveStatus.INFEASIBLE, None, "lp", notes, violated="perception")
+    return _cut_minimize(engine, prob, cost, dist_budget, perc_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +655,7 @@ def solve_cdp(prob: ProblemInstance, dist_budget: float, perc_budget: float) -> 
     ``GENERAL_GAP_TOL`` within ``CUT_ROUNDS`` rounds of tangent cuts.
     """
     prob.check_budgets(dist_budget, perc_budget)
-    status, kernel, certificate = _minimize_linear(prob, prob.objective_weights, dist_budget, perc_budget)
+    status, kernel, certificate = _minimize_linear(_Engine(), prob, prob.objective_weights, dist_budget, perc_budget)
     return _result(prob, kernel, False, status, certificate)
 
 
@@ -683,17 +682,17 @@ def solve_scdp(prob: ProblemInstance, dist_budget: float, perc_budget: float) ->
     regions = (np.arange(count)[:, None] >> np.arange(n)[None, :]) & 1 == 1
     weights = prob.region_weights(regions)
     bounds = weights.min(axis=2).sum(axis=1)
+    engine = _Engine()
     best_val, best_K, lower = math.inf, None, math.inf
-    iterations = solved = 0
+    solved = 0
     for r in np.argsort(bounds, kind="stable"):
         if bounds[r] >= best_val - REGION_STOP_TOL:
             lower = min(lower, float(bounds[r]))
             break
-        status, kernel, cert = _minimize_linear(prob, weights[r], dist_budget, perc_budget)
+        status, kernel, cert = _minimize_linear(engine, prob, weights[r], dist_budget, perc_budget)
         if kernel is None:
             return _result(prob, None, True, status, cert)
         solved += 1
-        iterations += cert["iterations"]
         # Both values sum per-symbol class masses in one order, so the Bayes
         # error never rounds above the region's own error rate.
         q1 = prob.source.prior1 * (kernel.T @ prob.p_y1)
@@ -706,7 +705,7 @@ def solve_scdp(prob: ProblemInstance, dist_budget: float, perc_budget: float) ->
     status = SolveStatus.OPTIMAL if gap <= GENERAL_GAP_TOL else SolveStatus.ITERATION_LIMIT
     notes = "minimum of the fixed-classifier solve over decision regions"
     counters = {"regions_solved": solved, "regions_pruned": count - solved, "enumerated": count}
-    _, _, certificate = _outcome(status, best_K, "regions", iterations, notes, gap, **counters)
+    _, _, certificate = _outcome(engine, status, best_K, "regions", notes, gap, **counters)
     return _result(prob, best_K, True, status, certificate)
 
 

@@ -79,6 +79,38 @@ def smooth_cells(rng):
     return out
 
 
+def stalling_highs(monkeypatch, stall):
+    """Make every HiGHS instance the solver builds report status Unknown, with
+    no iterations and without solving, on each simplex attempt whose index
+    within the instance satisfies ``stall``.  Returns a list that gets one
+    list per instance, of the options each of its runs read back."""
+    instances, highs = [], solver._highspy._Highs
+
+    class Stalling:
+        def __init__(self):
+            self.highs, self.runs, self.stalled = highs(), [], False
+            instances.append(self.runs)
+
+        def __getattr__(self, name):
+            return getattr(self.highs, name)
+
+        def run(self):
+            names = ("solver", "presolve", *solver._HIGHS_OPTIONS)
+            self.runs.append({name: self.highs.getOptionValue(name)[1] for name in names})
+            attempt = sum(r["solver"] != "ipm" for r in self.runs) - 1
+            self.stalled = self.runs[-1]["solver"] != "ipm" and stall(attempt)
+            return solver._highspy.HighsStatus.kOk if self.stalled else self.highs.run()
+
+        def getModelStatus(self):
+            return solver._highspy.HighsModelStatus.kUnknown if self.stalled else self.highs.getModelStatus()
+
+        def getInfoValue(self, name):
+            return (solver._highspy.HighsStatus.kOk, 0) if self.stalled else self.highs.getInfoValue(name)
+
+    monkeypatch.setattr(solver._highspy, "_Highs", Stalling)
+    return instances
+
+
 def cut_exit(result):
     """Which exit of the cut loop a smooth fixed-classifier result took."""
     if not result.ok:
@@ -244,9 +276,23 @@ class TestSolveCdp:
         assert not hasattr(r, "__dict__") and not hasattr(r.kernel, "__dict__")
 
     def test_certificate_carries_diagnostics(self, canonical_problem):
-        r = solve_cdp(canonical_problem(), 0.2, 0.3)
-        for key in ("method", "iterations", "duality_gap", "violated", "notes"):
-            assert key in r.certificate
+        # Every method's certificate carries the same counter keys; a cut solve
+        # also names its anchor, and a strong solve counts its regions.
+        shared = {"method", "iterations", "lp_solves", "cuts", "duality_gap", "violated", "notes"}
+        own = {"cuts": {"anchor"}, "regions": {"regions_solved", "regions_pruned", "enumerated"}}
+        tv, kl = canonical_problem(), canonical_problem(kind=KL, classifier_indices=(1,))
+        cells = {
+            "precheck": solve_cdp(tv, 0.01, math.inf),
+            "vertex": solve_cdp(tv, math.inf, math.inf),
+            "lp": solve_cdp(tv, 0.2, 0.3),
+            "cuts": solve_cdp(kl, 0.3, 0.05),
+            "regions": solve_scdp(tv, 0.3, 0.2),
+        }
+        for method, r in cells.items():
+            cert = r.certificate
+            assert cert["method"] == method
+            assert set(cert) == shared | own.get(method, set())
+            assert all(type(cert[key]) is int for key in ("iterations", "lp_solves", "cuts"))
 
     def test_smooth_kind_budgets_respected(self, canonical_problem):
         prob = canonical_problem(kind=KL, classifier_indices=(1,))
@@ -524,8 +570,9 @@ class TestLpPaths:
         assert violated == {None, "distortion", "perception"}
         assert exits == {"infeasible", "epigraph", "pinned", "inactive"}
 
+        engine = solver._Engine()  # one instance, cleared between models
         for model in models:
-            x, _ = solver._solve_lp(model)
+            x = engine.run(model)
             A = np.zeros((len(model.row_lower), len(model.c)))
             A[model.index, np.repeat(np.arange(len(model.c)), np.diff(model.start))] = model.value
             eq = model.row_lower == model.row_upper
@@ -611,12 +658,7 @@ class TestLpPaths:
         # its primal tolerance; the retry solves the same arrays by interior point.
         cells = smooth_cells(rng)
         expected = [solve_cdp(*c) for c in cells]
-        run = solver._highs_run
-
-        def stalled(model, tolerances, ipm):
-            return run(model, tolerances, ipm) if ipm else ("Unknown", None, 0)
-
-        monkeypatch.setattr(solver, "_highs_run", stalled)
+        stalling_highs(monkeypatch, lambda attempt: True)
         for (prob, D, P), want in zip(cells, expected):
             got = solve_cdp(prob, D, P)
             assert got.status is want.status
@@ -627,6 +669,63 @@ class TestLpPaths:
             if got.ok:
                 slack = got.certificate["duality_gap"] + want.certificate["duality_gap"]
                 assert abs(got.value - want.value) <= slack + 1e-9
+
+    def test_retry_options_do_not_leak_into_later_lps(self, rng, monkeypatch):
+        # Only the first simplex attempt of each call stalls: the retry runs by
+        # interior point at the looser tolerances, and every later LP of the
+        # call is back on the simplex at the solver's own.
+        cells = smooth_cells(rng)
+        expected = [solve_cdp(*c) for c in cells]
+        instances = stalling_highs(monkeypatch, lambda attempt: attempt == 0)
+        simplex = {"solver": "choose", "presolve": "off", **solver._HIGHS_OPTIONS}
+        lengths = []
+        for (prob, D, P), want in zip(cells, expected):
+            del instances[:]
+            got = solve_cdp(prob, D, P)
+            [runs] = instances
+            lengths.append(len(runs))
+            assert runs[0] == simplex
+            assert runs[1] == {"solver": "ipm", "presolve": "off", **solver._HIGHS_FALLBACK}
+            assert runs[2:] == [simplex] * (len(runs) - 2)
+            assert got.certificate["lp_solves"] == len(runs) - 1
+            assert got.status is want.status
+            if got.ok:
+                slack = got.certificate["duality_gap"] + want.certificate["duality_gap"]
+                assert abs(got.value - want.value) <= slack + 1e-9
+        assert max(lengths) > 3  # some call solved LPs after its retry
+
+    def test_one_highs_instance_per_call_and_one_lp_solve_per_model(self, canonical_problem, monkeypatch):
+        # A call that solves no LP builds no HiGHS instance and counts no work;
+        # one that solves any builds exactly one, however many LPs, cuts and
+        # regions it solves, and counts one LP solve per model it wrote.
+        built, models = [], []
+        highs, lp_model = solver._highspy._Highs, solver._lp_model
+        monkeypatch.setattr(solver._highspy, "_Highs", lambda: built.append(1) or highs())
+        monkeypatch.setattr(solver, "_lp_model", lambda *args: models.append(1) or lp_model(*args))
+        tv = canonical_problem()
+        skewed = MixtureSource.from_masses(0.3, 0.7, [0.9, 0.1], [0.25, 0.75])
+        tv_skewed = replace(tv, source=skewed, classifier=DecisionRegion.from_indices(skewed.alphabet, [1]))
+        kl_skewed = replace(tv_skewed, divergence=KL)
+        kl3 = small_instance(np.random.default_rng(0), 3, KL)
+        for solve, prob, D, P, solves_lps in (
+            (solve_cdp, tv, 0.01, math.inf, False),  # precheck
+            (solve_scdp, tv, 0.01, math.inf, False),
+            (solve_cdp, tv, math.inf, math.inf, False),  # vertex
+            (solve_scdp, kl3, math.inf, math.inf, False),  # a vertex per region
+            (solve_cdp, tv, 0.2, 0.3, True),  # one LP
+            (solve_cdp, kl_skewed, 0.3, 0.05, True),  # LPs plus cuts
+            (solve_scdp, tv_skewed, 0.2, 0.01, True),  # one LP per region
+            (solve_scdp, kl3, min_distortion(kl3) + 0.1, 0.02, True),  # LPs plus cuts per region
+        ):
+            del built[:], models[:]
+            cert = solve(prob, D, P).certificate
+            assert cert["lp_solves"] == len(models)
+            assert (len(models) > 0) == solves_lps
+            assert len(built) == solves_lps
+            assert (cert["iterations"] > 0) == solves_lps
+            assert (cert["cuts"] > 0) == (prob.divergence == KL and solves_lps)
+            if solve is solve_scdp and solves_lps:
+                assert cert["regions_solved"] > 1
 
     def test_missing_highs_bindings_name_the_scipy_floor(self, monkeypatch):
         monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
