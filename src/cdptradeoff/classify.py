@@ -35,7 +35,11 @@ PARTITION_TIE_TOLERANCE = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class DecisionRegion:
-    """Indicator of the symbols classified as class one."""
+    """Indicator of the symbols classified as class one.
+
+    ``members`` holds one entry per symbol: a boolean, or a number equal to
+    0 or 1.  Any other entry is rejected, naming its index.
+    """
 
     alphabet: Alphabet
     members: np.ndarray
@@ -46,6 +50,10 @@ class DecisionRegion:
             raise DimensionError(
                 f"region indicator: expected shape ({self.alphabet.size},), got {arr.shape}"
             )
+        if arr.dtype != bool:
+            for i, entry in enumerate(arr.tolist()):
+                if not (isinstance(entry, (bool, int, float, np.bool_, np.integer, np.floating)) and entry in (0, 1)):
+                    raise InvalidDistributionError(f"region indicator: entry {i} is {entry!r}, not a boolean, 0 or 1")
         arr = arr.astype(bool)
         arr.setflags(write=False)
         object.__setattr__(self, "members", arr)

@@ -10,6 +10,7 @@ from cdptradeoff import (
     Channel,
     DecisionRegion,
     DimensionError,
+    InvalidDistributionError,
     MixtureSource,
     bayes_error,
     bayes_error_tv_form,
@@ -59,6 +60,25 @@ class TestDecisionRegion:
     def test_out_of_range_index(self):
         with pytest.raises(Exception):
             DecisionRegion.from_indices(Alphabet(2), [2])
+
+    @pytest.mark.parametrize(
+        "members, named",
+        [
+            ([np.nan, 0, 1], r"entry 0 is nan"),
+            ([0.5, 0, 0], r"entry 0 is 0\.5"),
+            ([2, 0, 1], r"entry 0 is 2"),
+            (["a", "", "b"], r"entry 0 is 'a'"),
+            ([1, 0.0, 3], r"entry 2 is 3"),
+        ],
+    )
+    def test_members_must_be_booleans_or_zero_one(self, members, named):
+        # Each of these was once cast to a boolean mask and accepted.
+        with pytest.raises(InvalidDistributionError, match=named):
+            DecisionRegion(Alphabet(3), members)
+
+    def test_zero_one_members_read_as_booleans(self):
+        assert DecisionRegion(Alphabet(3), [1, 0, 1.0]).indices == (0, 2)
+        assert DecisionRegion(Alphabet(2), [np.True_, False]).indices == (0,)
 
     @pytest.mark.parametrize("indices", [[True], [0, False], [1.5]])
     def test_indices_must_be_integers(self, indices):
