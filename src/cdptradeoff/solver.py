@@ -27,10 +27,11 @@ Every linear program goes to HiGHS through the bindings scipy bundles
 (without cuts, at most 72 columns and 26 rows on alphabets of up to 8
 symbols) and presolve costs more than it saves.
 
-Solvers are pure functions of their inputs: each public call solves its LPs
-on one HiGHS instance of its own, built on its first LP and cleared before
-each LP, so no model or basis outlives a call, and sweeps solve every cell
-from scratch so results cannot depend on evaluation order.
+Solvers are pure functions of their inputs: each thread solves its LPs on
+one HiGHS instance, built on the thread's first LP and cleared before every
+attempt at an LP, which also sets that attempt's options.  So no model,
+basis, solution or option outlives an attempt, there is no warm start, and
+results cannot depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ import importlib.util
 import math
 import pathlib
 import sys
+import threading
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
@@ -230,11 +233,63 @@ class ProblemInstance:
             raise DimensionError("perception constraint needs restoration and source alphabets of equal size")
 
 
+_SHARED_KEYS = ("method", "iterations", "lp_solves", "cuts", "duality_gap", "violated", "notes")
+
+
+class Certificate(Mapping):
+    """What one solve did, as a read-only mapping.
+
+    Its keys are the seven every method shares, in the order of
+    ``_SHARED_KEYS``, then the method's own: ``anchor`` for ``cuts``, and
+    ``regions_solved``, ``regions_pruned`` and ``enumerated`` for
+    ``regions``.  It compares equal to a dict of the same items, and
+    ``dict(certificate)`` is that dict.  Slotted because sweeps keep one
+    result per cell: it takes 96 bytes where that dict takes 272.
+    """
+
+    __slots__ = (*_SHARED_KEYS, "_own")
+
+    def __init__(self, method, iterations, lp_solves, cuts, duality_gap, violated, notes, own=()):
+        """``own`` holds the method's own (key, value) pairs."""
+        values = (method, iterations, lp_solves, cuts, duality_gap, violated, notes, own)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __getitem__(self, key):
+        if key in _SHARED_KEYS:
+            return getattr(self, key)
+        for name, value in self._own:
+            if name == key:
+                return value
+        raise KeyError(key)
+
+    def __iter__(self):
+        yield from _SHARED_KEYS
+        for name, _ in self._own:
+            yield name
+
+    def __len__(self) -> int:
+        return len(_SHARED_KEYS) + len(self._own)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a certificate is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError("a certificate is read-only")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        return f"Certificate({dict(self)!r})"
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class TradeoffResult:
     """Outcome of one (D, P) query: value, optimizing kernel, achieved budgets.
 
-    Slotted, like ``Channel``, because sweeps keep one result per cell.
+    The result and its certificate are both slotted because sweeps keep one
+    result per cell.
     """
 
     value: float
@@ -242,7 +297,7 @@ class TradeoffResult:
     achieved_distortion: float
     achieved_perception: float
     status: SolveStatus
-    certificate: dict
+    certificate: Certificate
 
     @property
     def ok(self) -> bool:
@@ -391,24 +446,30 @@ def _lp_model(
     return _LpModel(c, np.zeros(n_cols), col_upper, row_lower, row_upper, start, row.astype(np.int32), A[row, col])
 
 
-class _Engine:
-    """The HiGHS instance and the work counters of one public solve.
+# The calling thread's HiGHS instance, as ``highs``, once the thread has
+# solved an LP (see ``_Engine.run``).
+_local = threading.local()
 
-    ``solve_cdp`` and ``solve_scdp`` each make one and drop it on return.  The
-    instance is built on the call's first LP, so a cell that solves none
-    builds none.  The counters are the certificate's.
+
+class _Engine:
+    """The work counters of one public solve, which are its certificate's.
+
+    ``solve_cdp`` and ``solve_scdp`` each make one and drop it on return.  Its
+    LPs go to the calling thread's HiGHS instance, which the thread's first LP
+    builds and which lives as long as the thread; a thread that solves no LP
+    builds none.
     """
 
     def __init__(self):
-        self._highs, self.lp_solves, self.iterations, self.cuts = None, 0, 0, 0
+        self.lp_solves, self.iterations, self.cuts = 0, 0, 0
 
     def run(self, model: _LpModel) -> Optional[np.ndarray]:
         """x of ``model``, or None when it is infeasible.  Each attempt starts
         from a cleared model and sets its own options: the simplex, then, if it
         stalls, interior point at the looser tolerances."""
-        highs = self._highs
+        highs = getattr(_local, "highs", None)
         if highs is None:
-            highs = self._highs = _highspy._Highs()
+            highs = _local.highs = _highspy._Highs()
             highs.setOptionValue("output_flag", False)
             highs.setOptionValue("presolve", "off")
         self.lp_solves += 1
@@ -472,17 +533,15 @@ def _outcome(
 ) -> tuple:
     """(status, kernel, certificate) of one solve, with the engine's counters;
     the certificate states no duality gap when there is no kernel."""
-    certificate = {
-        "method": method,
-        "iterations": engine.iterations,
-        "lp_solves": engine.lp_solves,
-        "cuts": engine.cuts,
-        "duality_gap": None if kernel is None else gap,
-        "violated": violated,
-        "notes": notes,
-        **details,
-    }
-    return status, kernel, certificate
+    gap = None if kernel is None else gap
+    counters = (engine.iterations, engine.lp_solves, engine.cuts)
+    return status, kernel, Certificate(method, *counters, gap, violated, notes, tuple(details.items()))
+
+
+# The outcomes that solve no LP, so count no work.  Their notes name rather
+# than repeat the numbers, which the caller has.
+_PRECHECK = Certificate("precheck", 0, 0, 0, None, "distortion", "distortion budget below min_distortion(prob)")
+_VERTEX = Certificate("vertex", 0, 0, 0, 0.0, None, "unconstrained: per-output-symbol minimization")
 
 
 def _tangent_cut(prob: ProblemInstance, q: np.ndarray) -> tuple:
@@ -601,14 +660,11 @@ def _minimize_linear(
 ) -> tuple:
     """Minimize a linear kernel functional under the distortion and perception
     budgets, on ``engine``: (status, kernel or None, certificate)."""
-    dmin = min_distortion(prob)
-    if dist_budget < dmin - 1e-12:
-        notes = f"distortion budget {dist_budget} below the achievable minimum {dmin}"
-        return _outcome(engine, SolveStatus.INFEASIBLE, None, "precheck", notes, violated="distortion")
+    if dist_budget < min_distortion(prob) - 1e-12:
+        return SolveStatus.INFEASIBLE, None, _PRECHECK
     no_perception = not math.isfinite(perc_budget)
     if no_perception and not math.isfinite(dist_budget):
-        notes = "unconstrained: per-output-symbol minimization"
-        return _outcome(engine, SolveStatus.OPTIMAL, _argmin_rows(cost), "vertex", notes)
+        return SolveStatus.OPTIMAL, _argmin_rows(cost), _VERTEX
     # Every supported divergence vanishes only at p_Xhat = p_X, so a zero
     # budget is the total-variation LP with its budget at zero.
     if no_perception or perc_budget == 0.0 or prob.divergence.name == TOTAL_VARIATION:
@@ -627,7 +683,7 @@ def _minimize_linear(
 
 
 def _result(
-    prob: ProblemInstance, kernel: Optional[np.ndarray], strong: bool, status: SolveStatus, certificate: dict
+    prob: ProblemInstance, kernel: Optional[np.ndarray], strong: bool, status: SolveStatus, certificate: Certificate
 ) -> TradeoffResult:
     """A solve's result: the value and budgets its kernel achieves, all NaN
     when there is no kernel (an infeasible cell, or one whose cut rounds ran

@@ -1,11 +1,14 @@
 """Tradeoff solvers: routing, feasibility, budgets, and hand-derivable anchors."""
 
+import copy
 import importlib.machinery
 import math
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from itertools import product
 
@@ -79,36 +82,55 @@ def smooth_cells(rng):
     return out
 
 
-def stalling_highs(monkeypatch, stall):
-    """Make every HiGHS instance the solver builds report status Unknown, with
-    no iterations and without solving, on each simplex attempt whose index
-    within the instance satisfies ``stall``.  Returns a list that gets one
-    list per instance, of the options each of its runs read back."""
+@pytest.fixture
+def fresh_highs():
+    """Take this thread's HiGHS instance away for the test, so its first LP
+    builds a fresh one; at teardown the old instance, or none, is back, so no
+    instance built in the test outlives it."""
+    slot = vars(solver._local)
+    old = slot.pop("highs", None)
+    yield
+    slot.pop("highs", None)
+    if old is not None:
+        slot["highs"] = old
+
+
+@pytest.fixture
+def stalling_highs(monkeypatch, fresh_highs):
+    """``install(stall)`` makes every HiGHS instance the solver builds from
+    then on report status Unknown, with no iterations and without solving, on
+    each simplex attempt whose index within the instance satisfies ``stall``.
+    It returns a list that gets one list per instance, of the options each of
+    its runs read back."""
     instances, highs = [], solver._highspy._Highs
 
-    class Stalling:
-        def __init__(self):
-            self.highs, self.runs, self.stalled = highs(), [], False
-            instances.append(self.runs)
+    def install(stall):
+        class Stalling:
+            def __init__(self):
+                self.highs, self.runs, self.stalled = highs(), [], False
+                instances.append(self.runs)
 
-        def __getattr__(self, name):
-            return getattr(self.highs, name)
+            def __getattr__(self, name):
+                return getattr(self.highs, name)
 
-        def run(self):
-            names = ("solver", "presolve", *solver._HIGHS_OPTIONS)
-            self.runs.append({name: self.highs.getOptionValue(name)[1] for name in names})
-            attempt = sum(r["solver"] != "ipm" for r in self.runs) - 1
-            self.stalled = self.runs[-1]["solver"] != "ipm" and stall(attempt)
-            return solver._highspy.HighsStatus.kOk if self.stalled else self.highs.run()
+            def run(self):
+                names = ("solver", "presolve", *solver._HIGHS_OPTIONS)
+                self.runs.append({name: self.highs.getOptionValue(name)[1] for name in names})
+                attempt = sum(r["solver"] != "ipm" for r in self.runs) - 1
+                self.stalled = self.runs[-1]["solver"] != "ipm" and stall(attempt)
+                return solver._highspy.HighsStatus.kOk if self.stalled else self.highs.run()
 
-        def getModelStatus(self):
-            return solver._highspy.HighsModelStatus.kUnknown if self.stalled else self.highs.getModelStatus()
+            def getModelStatus(self):
+                return solver._highspy.HighsModelStatus.kUnknown if self.stalled else self.highs.getModelStatus()
 
-        def getInfoValue(self, name):
-            return (solver._highspy.HighsStatus.kOk, 0) if self.stalled else self.highs.getInfoValue(name)
+            def getInfoValue(self, name):
+                return (solver._highspy.HighsStatus.kOk, 0) if self.stalled else self.highs.getInfoValue(name)
 
-    monkeypatch.setattr(solver._highspy, "_Highs", Stalling)
-    return instances
+        vars(solver._local).pop("highs", None)
+        monkeypatch.setattr(solver._highspy, "_Highs", Stalling)
+        return instances
+
+    return install
 
 
 def cut_exit(result):
@@ -293,6 +315,49 @@ class TestSolveCdp:
             assert cert["method"] == method
             assert set(cert) == shared | own.get(method, set())
             assert all(type(cert[key]) is int for key in ("iterations", "lp_solves", "cuts"))
+
+    def test_certificate_is_a_read_only_slotted_mapping(self, canonical_problem):
+        # Each certificate has the items, in order and of the types, that a
+        # dict certificate held, and is read-only, smaller than that dict, and
+        # copied and pickled with its result.  The outcomes that solve no LP
+        # share one constant certificate each, whose note names the minimum.
+        precheck = {"method": "precheck", "iterations": 0, "lp_solves": 0, "cuts": 0, "duality_gap": None}
+        precheck |= {"violated": "distortion", "notes": "distortion budget below min_distortion(prob)"}
+        vertex = {"method": "vertex", "iterations": 0, "lp_solves": 0, "cuts": 0, "duality_gap": 0.0}
+        vertex |= {"violated": None, "notes": "unconstrained: per-output-symbol minimization"}
+        lp = {"method": "lp", "iterations": 3, "lp_solves": 1, "cuts": 0, "duality_gap": 0.0, "violated": None}
+        lp |= {"notes": "one linear program, solved by HiGHS"}
+        cuts = {"method": "cuts", "iterations": 8, "lp_solves": 2, "cuts": 0, "duality_gap": 0.0, "violated": None}
+        cuts |= {"notes": "LP plus tangent cuts of the divergence", "anchor": "pinned"}
+        regions = {"method": "regions", "iterations": 3, "lp_solves": 1, "cuts": 0, "duality_gap": 0.0}
+        regions |= {"violated": None, "notes": "minimum of the fixed-classifier solve over decision regions"}
+        regions |= {"regions_solved": 1, "regions_pruned": 3, "enumerated": 4}
+        tv, kl = canonical_problem(), canonical_problem(kind=KL, classifier_indices=(1,))
+        cells = [
+            (solve_cdp(tv, 0.01, math.inf), precheck),
+            (solve_scdp(tv, 0.01, math.inf), precheck),
+            (solve_cdp(tv, math.inf, math.inf), vertex),
+            (solve_cdp(tv, 0.2, 0.3), lp),
+            (solve_cdp(kl, 0.3, 0.05), cuts),
+            (solve_scdp(tv, 0.3, 0.2), regions),
+        ]
+        for r, want in cells:
+            cert = r.certificate
+            items = list(dict(cert).items())
+            assert items == list(want.items())
+            assert [type(v) for _, v in items] == [type(v) for v in want.values()]
+            assert cert == want and want == cert and cert != {**want, "notes": ""}
+            with pytest.raises(TypeError):
+                cert["method"] = "lp"
+            for name in ("method", "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(cert, name, "lp")
+            assert not hasattr(cert, "__dict__")
+            assert sys.getsizeof(cert) < sys.getsizeof(want)
+            for copied in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+                assert type(copied.certificate) is type(cert) and copied.certificate == cert
+                assert cell_bytes(copied) == cell_bytes(r) and copied.status is r.status
+        assert cells[0][0].certificate is cells[1][0].certificate
 
     def test_smooth_kind_budgets_respected(self, canonical_problem):
         prob = canonical_problem(kind=KL, classifier_indices=(1,))
@@ -489,6 +554,39 @@ class TestSweepSurface:
                     for i, j in cells:
                         assert cell_bytes(again[i, j]) == cell_bytes(table.cells[i][j]), (kind.name, n, i, j)
 
+    def test_independent_of_evaluation_order_across_instances_and_kinds(self, rng, fresh_highs):
+        # The thread's one HiGHS instance carries nothing from a cell to the
+        # next whatever the instance or kind of either: solved in shuffled
+        # mixes of total-variation LP cells of several instances, a KL cut
+        # cell, a strong cell and an infeasible LP, every cell gives the bytes
+        # and certificate of a solve of it alone on a fresh instance.
+        cells = []
+        for n in (2, 3, 4, 5):
+            prob = small_instance(rng, n)
+            cells += [(solve_cdp, prob, min_distortion(prob) + d, p) for d, p in ((0.05, 0.02), (0.3, 0.1))]
+        kl = small_instance(rng, 3, KL)
+        cells += [(solve_cdp, kl, min_distortion(kl) + 0.3, 0.01), (solve_scdp, kl, min_distortion(kl) + 0.1, 0.02)]
+        tv = small_instance(rng, 3)
+        cells += [(solve_scdp, tv, min_distortion(tv) + 0.1, 0.05), (solve_cdp, tv, min_distortion(tv), 0.0)]
+
+        def alone(cell):
+            vars(solver._local).pop("highs", None)
+            solve, prob, D, P = cell
+            return solve(prob, D, P)
+
+        want = [alone(cell) for cell in cells]
+        methods = [(r.certificate["method"], r.certificate["violated"], r.certificate["cuts"] > 0) for r in want]
+        assert methods.count(("lp", None, False)) == 8
+        assert ("cuts", None, True) in methods and ("regions", None, True) in methods
+        assert ("regions", None, False) in methods and ("lp", "perception", False) in methods
+        vars(solver._local).pop("highs", None)
+        for _ in range(3):
+            order = rng.permutation(len(cells))
+            got = {i: cells[i][0](*cells[i][1:]) for i in order}
+            for i, r in enumerate(want):
+                assert cell_bytes(got[i]) == cell_bytes(r), i
+                assert dict(got[i].certificate) == dict(r.certificate), i
+
 
 class TestLpPaths:
     """Every LP goes from ``_lp_model``'s column-wise arrays straight to HiGHS;
@@ -653,12 +751,12 @@ class TestLpPaths:
             assert np.array_equal(model.col_lower, np.zeros(len(col_upper)))
             assert np.array_equal(model.col_upper, col_upper)
 
-    def test_interior_point_retry_takes_over_from_a_stalled_simplex(self, rng, monkeypatch):
+    def test_interior_point_retry_takes_over_from_a_stalled_simplex(self, rng, stalling_highs):
         # On some LPs with many steep cut rows the dual simplex stops outside
         # its primal tolerance; the retry solves the same arrays by interior point.
         cells = smooth_cells(rng)
         expected = [solve_cdp(*c) for c in cells]
-        stalling_highs(monkeypatch, lambda attempt: True)
+        stalling_highs(lambda attempt: True)
         for (prob, D, P), want in zip(cells, expected):
             got = solve_cdp(prob, D, P)
             assert got.status is want.status
@@ -670,34 +768,44 @@ class TestLpPaths:
                 slack = got.certificate["duality_gap"] + want.certificate["duality_gap"]
                 assert abs(got.value - want.value) <= slack + 1e-9
 
-    def test_retry_options_do_not_leak_into_later_lps(self, rng, monkeypatch):
-        # Only the first simplex attempt of each call stalls: the retry runs by
-        # interior point at the looser tolerances, and every later LP of the
-        # call is back on the simplex at the solver's own.
+    def test_retry_options_do_not_leak_into_later_lps(self, rng, stalling_highs):
+        # The thread's one instance stalls on the first simplex attempt of each
+        # call: the retry runs by interior point at the looser tolerances, and
+        # the next attempt, a later LP of the call or the next call's first, is
+        # back on the simplex at the solver's own.
         cells = smooth_cells(rng)
         expected = [solve_cdp(*c) for c in cells]
-        instances = stalling_highs(monkeypatch, lambda attempt: attempt == 0)
+        first = [0]  # the index, among the instance's simplex attempts, of this call's first
+        instances = stalling_highs(lambda attempt: attempt == first[0])
         simplex = {"solver": "choose", "presolve": "off", **solver._HIGHS_OPTIONS}
+        retry = {"solver": "ipm", "presolve": "off", **solver._HIGHS_FALLBACK}
         lengths = []
         for (prob, D, P), want in zip(cells, expected):
-            del instances[:]
+            runs = instances[0] if instances else []
+            done = len(runs)
+            first[0] = sum(r["solver"] != "ipm" for r in runs)
             got = solve_cdp(prob, D, P)
             [runs] = instances
-            lengths.append(len(runs))
-            assert runs[0] == simplex
-            assert runs[1] == {"solver": "ipm", "presolve": "off", **solver._HIGHS_FALLBACK}
-            assert runs[2:] == [simplex] * (len(runs) - 2)
-            assert got.certificate["lp_solves"] == len(runs) - 1
+            mine = runs[done:]
+            lengths.append(len(mine))
+            assert mine[0] == simplex
+            assert mine[1] == retry
+            assert mine[2:] == [simplex] * (len(mine) - 2)
+            assert got.certificate["lp_solves"] == len(mine) - 1
             assert got.status is want.status
             if got.ok:
                 slack = got.certificate["duality_gap"] + want.certificate["duality_gap"]
                 assert abs(got.value - want.value) <= slack + 1e-9
         assert max(lengths) > 3  # some call solved LPs after its retry
+        assert 2 in lengths[:-1]  # some call ended on its retry, and the next began after it
 
-    def test_one_highs_instance_per_call_and_one_lp_solve_per_model(self, canonical_problem, monkeypatch):
-        # A call that solves no LP builds no HiGHS instance and counts no work;
-        # one that solves any builds exactly one, however many LPs, cuts and
-        # regions it solves, and counts one LP solve per model it wrote.
+    def test_one_highs_instance_per_thread_and_one_lp_solve_per_model(
+        self, canonical_problem, monkeypatch, fresh_highs
+    ):
+        # A thread builds no HiGHS instance while its calls solve no LP, and
+        # exactly one over all the calls of every method that do, however many
+        # LPs, cuts and regions they solve; each call counts one LP solve per
+        # model it wrote.
         built, models = [], []
         highs, lp_model = solver._highspy._Highs, solver._lp_model
         monkeypatch.setattr(solver._highspy, "_Highs", lambda: built.append(1) or highs())
@@ -707,7 +815,7 @@ class TestLpPaths:
         tv_skewed = replace(tv, source=skewed, classifier=DecisionRegion.from_indices(skewed.alphabet, [1]))
         kl_skewed = replace(tv_skewed, divergence=KL)
         kl3 = small_instance(np.random.default_rng(0), 3, KL)
-        for solve, prob, D, P, solves_lps in (
+        cases = (
             (solve_cdp, tv, 0.01, math.inf, False),  # precheck
             (solve_scdp, tv, 0.01, math.inf, False),
             (solve_cdp, tv, math.inf, math.inf, False),  # vertex
@@ -716,16 +824,51 @@ class TestLpPaths:
             (solve_cdp, kl_skewed, 0.3, 0.05, True),  # LPs plus cuts
             (solve_scdp, tv_skewed, 0.2, 0.01, True),  # one LP per region
             (solve_scdp, kl3, min_distortion(kl3) + 0.1, 0.02, True),  # LPs plus cuts per region
-        ):
-            del built[:], models[:]
+        )
+        solved_any = False
+        for solve, prob, D, P, solves_lps in cases + cases:
+            del models[:]
             cert = solve(prob, D, P).certificate
+            solved_any |= solves_lps
             assert cert["lp_solves"] == len(models)
             assert (len(models) > 0) == solves_lps
-            assert len(built) == solves_lps
+            assert len(built) == solved_any
             assert (cert["iterations"] > 0) == solves_lps
             assert (cert["cuts"] > 0) == (prob.divergence == KL and solves_lps)
             if solve is solve_scdp and solves_lps:
                 assert cert["regions_solved"] > 1
+
+    def test_two_threads_hold_their_own_instances_and_match_a_serial_solve(self, rng, fresh_highs):
+        # Two threads solving the same cells at once each build an instance of
+        # their own, apart from this thread's, and get a serial solve's bytes.
+        cells = [c for c in self.cells(rng) if c[0].restore_alphabet.size <= 3][::3]
+        serial = [(solve_cdp(*c), solve_scdp(*c)) for c in cells]
+        barrier = threading.Barrier(2, timeout=60)
+        results, held = {}, {}
+
+        def work(name):
+            barrier.wait()
+            results[name] = [(solve_cdp(*c), solve_scdp(*c)) for c in cells]
+            held[name] = solver._local.highs
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-solve
+        try:
+            threads = [threading.Thread(target=work, args=(name,)) for name in ("a", "b")]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert set(results) == set(held) == {"a", "b"}
+        assert len({id(solver._local.highs), id(held["a"]), id(held["b"])}) == 3
+        for got in results.values():
+            for pair, want_pair in zip(got, serial):
+                for r, want in zip(pair, want_pair):
+                    assert cell_bytes(r) == cell_bytes(want)
+                    assert dict(r.certificate) == dict(want.certificate)
 
     def test_missing_highs_bindings_name_the_scipy_floor(self, monkeypatch):
         monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
