@@ -33,15 +33,16 @@ trials at a time, so memory stays flat in ``trials``:
    every instance are unchanged.
 2. The trials of one shape (alphabet sizes, and the divergence kind) are
    stacked and evaluated at once: masses, channel rows and blends are
-   cleaned by ``prob_core._clean_mass`` on the stack, and the priors and
-   closed forms are computed along the last axis with the same arithmetic
-   as the library's one-row functions, so every violation is the same
-   bytes.  Matrix-vector products and three-operand ``einsum`` calls stay
-   one trial at a time, because their stacked forms round differently.
+   cleaned by ``prob_core._clean_mass`` on the stack, and the error rates,
+   Bayes errors and divergences are the library's own array forms, called on
+   the stack, so every violation is the same bytes.  Matrix-vector products
+   and three-operand ``einsum`` calls stay one trial at a time, because
+   their stacked forms round differently.
 3. The first trial of each shape in each chunk is replayed through the
    library's public objects and functions.  A replay that differs from the
    stacked value in any bit makes that trial's violation at least 1, so the
-   suites keep checking the library and not only a copy of its formulas.
+   suites also check the audit's own glue (priors, blends, products) and the
+   public constructors.
 
 The structured data-processing constructions and the surface suites run one
 trial at a time.
@@ -67,21 +68,16 @@ import numpy as np
 
 from .classify import (
     DecisionRegion,
+    _bayes_error_arrays,
+    _bayes_error_tv_form_arrays,
+    _error_rate_arrays,
     bayes_error,
     bayes_error_tv_form,
     dpi_equality_holds,
     error_rate,
     region_partition,
 )
-from .metrics import (
-    HELLINGER,
-    KULLBACK_LEIBLER,
-    TOTAL_VARIATION,
-    DistortionMatrix,
-    DivergenceKind,
-    divergence,
-    expected_distortion,
-)
+from .metrics import DistortionMatrix, DivergenceKind, _divergence_arrays, divergence, expected_distortion
 from .prob_core import (
     Alphabet,
     Channel,
@@ -185,13 +181,6 @@ def _mixture(prior1: float, class1, class2) -> MixtureSource:
 def random_mixture(rng: np.random.Generator, n: Optional[int] = None) -> MixtureSource:
     _, prior1, exponentials = _draw_mixture(rng, n)
     return _mixture(prior1, *_simplex(exponentials))
-
-
-def random_mixture_pair(rng: np.random.Generator):
-    """Two mixtures sharing alphabet and priors, as mixture blending requires."""
-    _, prior1, exponentials = _draw_mixture(rng, sources=2)
-    masses = _simplex(exponentials)
-    return _mixture(prior1, *masses[:2]), _mixture(prior1, *masses[2:])
 
 
 def _channel_rows(rng: np.random.Generator, n_in: int, n_out: Optional[int] = None):
@@ -307,9 +296,11 @@ def _stacked_trials(rng: np.random.Generator, trials: int, draw, evaluate, repla
     The first trial of each key in each chunk is also replayed:
     ``replay(key, *fields)`` gives its violation through the library's public
     objects and functions, and a replay that differs from the stacked value
-    in any bit makes that trial's violation at least 1.  Masses and channel
-    rows are drawn and stacked as the standard exponentials ``random_mass``
-    scales; ``evaluate`` and ``replay`` scale them with ``_simplex``.
+    in any bit makes that trial's violation at least 1; ``evaluate`` calls
+    the library's array forms, so the replay checks the glue around them.
+    Masses and channel rows are drawn and stacked as the standard
+    exponentials ``random_mass`` scales; ``evaluate`` and ``replay`` scale
+    them with ``_simplex``.
     """
     for start in range(0, trials, CHUNK_TRIALS):
         drawn = [draw(rng, t) for t in range(start, min(start + CHUNK_TRIALS, trials))]
@@ -349,73 +340,6 @@ def _blend(lam: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``lam * a + (1 - lam) * b`` with one ``lam`` per trial (the leading axis)."""
     lam = lam.reshape(lam.shape + (1,) * (a.ndim - 1))
     return lam * a + (1.0 - lam) * b
-
-
-def _masked_sum(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(row[row_mask])`` for each row of ``values`` (B, n), to the byte.
-
-    Rows are gathered by how many entries they select, so each sum adds the
-    same entries in the same order as the one-row call, pairwise from 8
-    entries on; a row that selects nothing sums to 0.0.
-    """
-    counts = np.count_nonzero(mask, axis=-1)
-    out = np.zeros(len(values))
-    # The counts present, from a bincount: ``np.unique`` would import numpy.ma
-    # and its megabyte of memory.
-    for k in np.flatnonzero(np.bincount(counts)).tolist():
-        if k:
-            rows = counts == k
-            out[rows] = np.add.reduce(values[rows][mask[rows]].reshape(-1, k), axis=-1)
-    return out
-
-
-def _stacked_bayes_error(p1: np.ndarray, p2: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """``bayes_error`` per trial, from priors (B,) and class masses (B, 2, n)."""
-    return np.add.reduce(np.minimum(p1[:, None] * classes[:, 0], p2[:, None] * classes[:, 1]), axis=-1)
-
-
-def _stacked_bayes_error_tv_form(p1: np.ndarray, p2: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """``bayes_error_tv_form`` per trial, from priors (B,) and class masses (B, 2, n)."""
-    return 0.5 - 0.5 * np.add.reduce(np.abs(p1[:, None] * classes[:, 0] - p2[:, None] * classes[:, 1]), axis=-1)
-
-
-def _stacked_error_rate(p1: np.ndarray, p2: np.ndarray, classes: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """``error_rate`` per trial, from priors (B,), class masses (B, 2, n) and regions (B, n)."""
-    return p2 * _masked_sum(classes[:, 1], inside) + p1 * _masked_sum(classes[:, 0], ~inside)
-
-
-def _stacked_divergence(kind: DivergenceKind, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``divergence(kind, p_row, q_row)`` for each pair of rows of ``p`` and ``q`` (B, n), to the byte.
-
-    KL and Renyi add only the entries ``_divergence_arrays`` keeps, and the
-    log of the Renyi sum is ``math.log`` per row, as there: ``np.log`` can
-    round it differently.
-    """
-    if kind.name == TOTAL_VARIATION:
-        return 0.5 * np.add.reduce(np.abs(p - q), axis=-1)
-    if kind.name == HELLINGER:
-        return 0.5 * np.add.reduce((np.sqrt(p) - np.sqrt(q)) ** 2, axis=-1)
-    support = p > 0.0
-    unmatched = np.any(support & (q == 0.0), axis=-1)
-    # Entries outside the kept ones may divide by zero or take the log of 0;
-    # they are computed and then left out of every sum and maximum.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if kind.name == KULLBACK_LEIBLER:
-            return np.where(unmatched, math.inf, _masked_sum(p * np.log(p / q), support))
-        alpha = kind.alpha
-        keep = support & (q > 0.0)
-        infinite = ~np.any(keep, axis=-1)
-        if alpha > 1.0:
-            infinite |= unmatched
-        logs = alpha * np.log(p) + (1.0 - alpha) * np.log(q)
-        top = np.max(logs, axis=-1, where=keep, initial=-math.inf)
-        total = _masked_sum(np.exp(logs - top[:, None]), keep)
-    value = np.full(len(p), math.inf)
-    finite = ~infinite
-    logged = np.array([math.log(t) for t in total[finite].tolist()])
-    value[finite] = (top[finite] + logged) / (alpha - 1.0)
-    # ``max(value, 0.0)``, which keeps ``value`` unless 0.0 is larger.
-    return np.where(0.0 > value, 0.0, value)
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +397,9 @@ def check_error_linearity(rng, trials):
 
     def evaluate(n, prior1, masses, lam, inside):
         p1, p2, c, q1, q2, b = _blended_pair(prior1, masses, lam)
-        direct = _stacked_error_rate(q1, q2, b, inside)
-        split = lam * _stacked_error_rate(p1, p2, c[:, :2], inside) + (1.0 - lam) * _stacked_error_rate(
-            p1, p2, c[:, 2:], inside
+        direct = _error_rate_arrays(q1, q2, b[:, 0], b[:, 1], inside)
+        split = lam * _error_rate_arrays(p1, p2, c[:, 0], c[:, 1], inside) + (1.0 - lam) * _error_rate_arrays(
+            p1, p2, c[:, 2], c[:, 3], inside
         )
         return np.abs(direct - split)
 
@@ -499,8 +423,10 @@ def check_bayes_concavity(rng, trials):
 
     def evaluate(n, prior1, masses, lam):
         p1, p2, c, q1, q2, b = _blended_pair(prior1, masses, lam)
-        split = lam * _stacked_bayes_error(p1, p2, c[:, :2]) + (1.0 - lam) * _stacked_bayes_error(p1, p2, c[:, 2:])
-        return split - _stacked_bayes_error(q1, q2, b)
+        split = lam * _bayes_error_arrays(p1, p2, c[:, 0], c[:, 1]) + (1.0 - lam) * _bayes_error_arrays(
+            p1, p2, c[:, 2], c[:, 3]
+        )
+        return split - _bayes_error_arrays(q1, q2, b[:, 0], b[:, 1])
 
     def replay(n, prior1, masses, lam):
         masses = _simplex(masses)
@@ -517,7 +443,8 @@ def check_closed_forms(rng, trials):
     def evaluate(n, prior1, masses):
         p1, p2 = _priors(prior1)
         c = _clean(_simplex(masses))
-        return np.abs(_stacked_bayes_error(p1, p2, c) - _stacked_bayes_error_tv_form(p1, p2, c))
+        c1, c2 = c[:, 0], c[:, 1]
+        return np.abs(_bayes_error_arrays(p1, p2, c1, c2) - _bayes_error_tv_form_arrays(p1, p2, c1, c2))
 
     def replay(n, prior1, masses):
         src = _mixture(prior1, *_simplex(masses))
@@ -551,8 +478,10 @@ def check_data_processing(rng, trials):
         c = _clean(_simplex(masses))
         # push_forward's matrix-vector products, one trial at a time: a
         # stacked matmul rounds differently.
-        pushed = np.array([(m.T @ c1, m.T @ c2) for m, (c1, c2) in zip(_clean(_simplex(rows)), c)])
-        return _stacked_bayes_error(p1, p2, c) - _stacked_bayes_error(*_renormalized(p1, p2), _clean(pushed))
+        pushed = _clean(np.array([(m.T @ c1, m.T @ c2) for m, (c1, c2) in zip(_clean(_simplex(rows)), c)]))
+        return _bayes_error_arrays(p1, p2, c[:, 0], c[:, 1]) - _bayes_error_arrays(
+            *_renormalized(p1, p2), pushed[:, 0], pushed[:, 1]
+        )
 
     def replay(shape, prior1, masses, rows):
         src = _mixture(prior1, *_simplex(masses))
@@ -595,8 +524,8 @@ def check_divergence_convexity(rng, trials):
         kind = key[0]
         m = _clean(_simplex(masses))
         p = m[:, 0]
-        lhs = _stacked_divergence(kind, p, _clean(_blend(lam, m[:, 1], m[:, 2])))
-        rhs = lam * _stacked_divergence(kind, p, m[:, 1]) + (1.0 - lam) * _stacked_divergence(kind, p, m[:, 2])
+        lhs = _divergence_arrays(kind, p, _clean(_blend(lam, m[:, 1], m[:, 2])))
+        rhs = lam * _divergence_arrays(kind, p, m[:, 1]) + (1.0 - lam) * _divergence_arrays(kind, p, m[:, 2])
         return np.where(np.isinf(rhs), 0.0, lhs - rhs)
 
     def replay(key, masses, lam):

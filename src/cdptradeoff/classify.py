@@ -17,6 +17,10 @@ The Bayes error can only grow when the source is pushed through a channel;
 ``dpi_equality_holds`` tests the structural sparsity condition on the channel
 under which it stays exactly equal: no output symbol may receive mass from
 both a strictly-class-one input and a strictly-class-two input.
+
+Each public function wraps one ``_*_arrays`` form, which works along the
+last axis with one prior or one per row: a float for one row, an array for a
+stack whose every row is the same bytes the row gives alone.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DimensionError, InvalidDistributionError
-from .prob_core import Alphabet, Channel, MixtureSource
+from .prob_core import Alphabet, Channel, MixtureSource, _masked_sum
 
 # Absolute tolerance deciding ties in the strict-region partition.
 PARTITION_TIE_TOLERANCE = 1e-12
@@ -111,10 +115,12 @@ def error_rate(src: MixtureSource, region: DecisionRegion) -> float:
     """
     if src.alphabet != region.alphabet:
         raise DimensionError(f"source alphabet {src.alphabet} != region alphabet {region.alphabet}")
-    inside = region.members
-    return float(
-        src.prior2 * np.add.reduce(src.class2.mass[inside]) + src.prior1 * np.add.reduce(src.class1.mass[~inside])
-    )
+    return float(_error_rate_arrays(src.prior1, src.prior2, src.class1.mass, src.class2.mass, region.members))
+
+
+def _error_rate_arrays(prior1, prior2, class1: np.ndarray, class2: np.ndarray, inside: np.ndarray):
+    """``error_rate`` from priors, class masses and region indicators along the last axis."""
+    return prior2 * _masked_sum(class2, inside) + prior1 * _masked_sum(class1, ~inside)
 
 
 def bayes_region(src: MixtureSource) -> DecisionRegion:
@@ -139,7 +145,7 @@ def region_partition(src: MixtureSource, tie_tolerance: float = PARTITION_TIE_TO
 
 def bayes_error(src: MixtureSource) -> float:
     """Minimal error rate over all decision regions: sum_x min(P1 p1(x), P2 p2(x))."""
-    return float(np.add.reduce(np.minimum(src.prior1 * src.class1.mass, src.prior2 * src.class2.mass)))
+    return float(_bayes_error_arrays(src.prior1, src.prior2, src.class1.mass, src.class2.mass))
 
 
 def bayes_error_tv_form(src: MixtureSource) -> float:
@@ -148,7 +154,22 @@ def bayes_error_tv_form(src: MixtureSource) -> float:
     Algebraically identical to ``bayes_error``; kept as an independent code
     path so the identity can be checked numerically.
     """
-    return float(0.5 - 0.5 * np.add.reduce(np.abs(src.prior1 * src.class1.mass - src.prior2 * src.class2.mass)))
+    return float(_bayes_error_tv_form_arrays(src.prior1, src.prior2, src.class1.mass, src.class2.mass))
+
+
+def _weighted(prior, mass: np.ndarray) -> np.ndarray:
+    """``prior * mass`` for one prior, or for one prior per row along the last axis."""
+    return prior * mass if isinstance(prior, float) else prior[..., None] * mass
+
+
+def _bayes_error_arrays(prior1, prior2, class1: np.ndarray, class2: np.ndarray):
+    """``bayes_error`` from priors and class masses along the last axis."""
+    return np.add.reduce(np.minimum(_weighted(prior1, class1), _weighted(prior2, class2)), axis=-1)
+
+
+def _bayes_error_tv_form_arrays(prior1, prior2, class1: np.ndarray, class2: np.ndarray):
+    """``bayes_error_tv_form`` from priors and class masses along the last axis."""
+    return 0.5 - 0.5 * np.add.reduce(np.abs(_weighted(prior1, class1) - _weighted(prior2, class2)), axis=-1)
 
 
 def dpi_equality_holds(src: MixtureSource, ch: Channel) -> bool:

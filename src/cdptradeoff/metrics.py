@@ -18,6 +18,10 @@ Conventions, fixed here once for the whole package:
 ``+inf`` is a first-class value: KL and Renyi return it on support mismatch
 instead of raising, so constraint sweeps can treat unreachable budgets as
 structurally infeasible rather than crash.
+
+``divergence`` wraps the one array form, ``_divergence_arrays``, which works
+along the last axis: a float for one row, an array for a stack whose every
+row is the same bytes the row gives alone.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, InvalidDistributionError
-from .prob_core import Alphabet, Channel, MixtureSource, ProbVector
+from .prob_core import Alphabet, Channel, MixtureSource, ProbVector, _masked_sum
 
 TOTAL_VARIATION = "total_variation"
 KULLBACK_LEIBLER = "kullback_leibler"
@@ -74,45 +78,62 @@ class DivergenceKind:
         return cls(RENYI, float(alpha))
 
 
-def _divergence_arrays(kind: DivergenceKind, p: np.ndarray, q: np.ndarray) -> float:
-    """Divergence between two raw mass arrays; may return ``math.inf``."""
+def _divergence_arrays(kind: DivergenceKind, p: np.ndarray, q: np.ndarray):
+    """Divergence between mass rows along the last axis; may be ``math.inf``.
+
+    KL and Renyi add only the entries they keep (``p > 0``; for Renyi also
+    ``q > 0``) with ``_masked_sum``, so a row of a stack sums as it would alone.
+    """
+    infinite = False
     if kind.name == TOTAL_VARIATION:
-        return float(0.5 * np.abs(p - q).sum())
-    if kind.name == KULLBACK_LEIBLER:
+        value = 0.5 * np.add.reduce(np.abs(p - q), axis=-1)
+    elif kind.name == HELLINGER:
+        value = 0.5 * np.add.reduce((np.sqrt(p) - np.sqrt(q)) ** 2, axis=-1)
+    else:
         support = p > 0.0
-        if np.any(q[support] == 0.0):
-            return math.inf
-        ps, qs = p[support], q[support]
-        return float(np.sum(ps * np.log(ps / qs)))
-    if kind.name == HELLINGER:
-        return float(0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2))
-    # Renyi: the log of sum p^alpha q^(1-alpha), over the terms with q > 0, by
-    # log-sum-exp, so that no power overflows at any order.
-    alpha = kind.alpha
-    support = p > 0.0
-    ps, qs = p[support], q[support]
-    if alpha > 1.0 and np.any(qs == 0.0):
-        return math.inf
-    ps, qs = ps[qs > 0.0], qs[qs > 0.0]
-    if not qs.size:
-        return math.inf
-    logs = alpha * np.log(ps) + (1.0 - alpha) * np.log(qs)
-    top = float(logs.max())
-    value = (top + math.log(float(np.sum(np.exp(logs - top))))) / (alpha - 1.0)
-    # Rounding can nudge the sum past the exact value at p == q; clamp at 0.
-    return max(value, 0.0)
+        # KL, and Renyi above order 1, are infinite where q is 0 on the support of p.
+        if kind.name == KULLBACK_LEIBLER or kind.alpha > 1.0:
+            infinite = (support & (q == 0.0)).any(axis=-1)
+        # Entries left out may divide by zero or take the log of 0; they are
+        # computed and then left out of every sum and maximum.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if kind.name == RENYI:
+                return _renyi(kind.alpha, p, q, support & (q > 0.0), infinite)
+            value = _masked_sum(p * np.log(p / q), support)
+    if p.ndim == 1:
+        return math.inf if infinite else float(value)
+    return np.where(infinite, math.inf, value)
+
+
+def _renyi(alpha: float, p: np.ndarray, q: np.ndarray, keep: np.ndarray, infinite):
+    """The Renyi rows of ``_divergence_arrays``: the log of sum p^alpha q^(1-alpha)
+    over the ``keep`` terms, by log-sum-exp, so that no power overflows at any
+    order.  The log of the sum is ``math.log`` per row: ``np.log`` can round
+    it differently."""
+    logs = alpha * np.log(p) + (1.0 - alpha) * np.log(q)
+    top = logs.max(axis=-1, where=keep, initial=-math.inf, keepdims=True)
+    total = _masked_sum(np.exp(logs - top), keep)
+    # The largest kept term adds exp(0) = 1, so only a row that keeps none sums to 0.
+    infinite = infinite | (total == 0.0)
+    # Rounding can nudge the sum past the exact value at p == q; clamp at 0
+    # with ``max(value, 0.0)``, which keeps ``value`` unless 0.0 is larger.
+    if p.ndim == 1:
+        return math.inf if infinite else max((float(top[0]) + math.log(total)) / (alpha - 1.0), 0.0)
+    finite = ~infinite
+    value = np.full(infinite.shape, math.inf)
+    value[finite] = (top[finite, 0] + [math.log(t) for t in total[finite].tolist()]) / (alpha - 1.0)
+    return np.where(0.0 > value, 0.0, value)
 
 
 def _divergence_gradient(kind: DivergenceKind, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Gradient of ``d(p, .)`` at ``q``; entries may be huge near the simplex boundary.
+    """Gradient of ``d(p, .)`` at ``q`` for the smooth kinds only; entries may
+    be huge near the simplex boundary.
 
     Only meaningful where the divergence is finite and differentiable; callers
     keep iterates away from support-mismatch boundaries.  ``q`` is floored at
     a tiny positive value to avoid literal division by zero.
     """
     qf = np.maximum(q, 1e-300)
-    if kind.name == TOTAL_VARIATION:
-        return 0.5 * np.sign(q - p)
     if kind.name == KULLBACK_LEIBLER:
         grad = np.zeros_like(q)
         support = p > 0.0

@@ -87,6 +87,26 @@ def _clean_mass(values, shape: tuple, what: str) -> np.ndarray:
     return arr
 
 
+def _masked_sum(values: np.ndarray, mask: np.ndarray):
+    """``np.add.reduce(row[row_mask])`` for each row along the last axis, to the byte.
+
+    One row takes the plain boolean index.  A stack gathers its rows by how
+    many entries they select, so each adds its entries in the one-row order,
+    pairwise from 8 entries on; a row that selects nothing sums to 0.0.
+    """
+    if values.ndim == 1:
+        return np.add.reduce(values[mask])
+    counts = np.count_nonzero(mask, axis=-1)
+    out = np.zeros(values.shape[:-1])
+    # The counts present, from a bincount: ``np.unique`` would import numpy.ma
+    # and its megabyte of memory.
+    for k in np.flatnonzero(np.bincount(counts.ravel())).tolist():
+        if k:
+            rows = counts == k
+            out[rows] = np.add.reduce(values[rows][mask[rows]].reshape(-1, k), axis=-1)
+    return out
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """A finite symbol set; symbols are the indices ``0..size-1``."""

@@ -50,7 +50,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .classify import DecisionRegion, bayes_error, error_rate
+from .classify import DecisionRegion, _bayes_error_arrays, bayes_error, error_rate
 from .errors import DimensionError
 from .metrics import (
     TOTAL_VARIATION,
@@ -751,9 +751,9 @@ def solve_scdp(prob: ProblemInstance, dist_budget: float, perc_budget: float) ->
         solved += 1
         # Both values sum per-symbol class masses in one order, so the Bayes
         # error never rounds above the region's own error rate.
-        q1 = prob.source.prior1 * (kernel.T @ prob.p_y1)
-        q2 = prob.source.prior2 * (kernel.T @ prob.p_y2)
-        value = float(np.minimum(q1, q2).sum())
+        m1, m2 = kernel.T @ prob.p_y1, kernel.T @ prob.p_y2
+        value = float(_bayes_error_arrays(prob.source.prior1, prob.source.prior2, m1, m2))
+        q1, q2 = prob.source.prior1 * m1, prob.source.prior2 * m2
         lower = min(lower, float(np.where(regions[r], q2, q1).sum()) - cert["duality_gap"])
         if value < best_val:
             best_val, best_K = value, kernel

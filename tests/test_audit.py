@@ -44,6 +44,9 @@ from cdptradeoff.audit import (
     random_mixture,
     run_audit,
 )
+from cdptradeoff.classify import _bayes_error_arrays, _bayes_error_tv_form_arrays, _error_rate_arrays
+from cdptradeoff.metrics import _divergence_arrays
+from cdptradeoff.prob_core import _masked_sum
 
 
 class TestGenerators:
@@ -159,8 +162,10 @@ class TestSuites:
         ],
     )
     def test_replay_catches_a_library_function_one_part_in_1e15_off(self, monkeypatch, suite, name):
-        # The stacked arithmetic does not call the library; the replayed
-        # trials do, so a library function that drifts must fail the suite.
+        # The stacked trials call the library's array forms and the replayed
+        # trials its public functions, so a public function that drifts from
+        # its array form, or a constructor the replay goes through, must fail
+        # the suite.
         original = getattr(audit, name)
         if name == "push_forward":
 
@@ -193,7 +198,8 @@ def _masses_with_zeros(rng, shape):
 
 
 class TestStackedArithmetic:
-    """Each stacked formula the suites use against its public one-row function, to the byte.
+    """The library's array forms on a stack, as the suites call them, against
+    the public one-row functions, to the byte.
 
     Rows of 1 to 12 symbols cover NumPy's pairwise summation from 8 entries
     on; zero entries and random masks cover the masked sums and the
@@ -226,10 +232,10 @@ class TestStackedArithmetic:
         assert self._same(b, [np.stack([w.class1.mass, w.class2.mass]) for w in blends])
         assert self._same(np.stack([p1, p2]), [[u.prior1 for u, _ in pairs], [u.prior2 for u, _ in pairs]])
         assert self._same(np.stack([q1, q2]), [[w.prior1 for w in blends], [w.prior2 for w in blends]])
-        assert self._same(audit._stacked_bayes_error(q1, q2, b), [bayes_error(w) for w in blends])
-        tv_form = audit._stacked_bayes_error_tv_form(p1, p2, c[:, :2])
+        assert self._same(_bayes_error_arrays(q1, q2, b[:, 0], b[:, 1]), [bayes_error(w) for w in blends])
+        tv_form = _bayes_error_tv_form_arrays(p1, p2, c[:, 0], c[:, 1])
         assert self._same(tv_form, [bayes_error_tv_form(u) for u, _ in pairs])
-        rates = audit._stacked_error_rate(p1, p2, c[:, 2:], inside)
+        rates = _error_rate_arrays(p1, p2, c[:, 2], c[:, 3], inside)
         assert self._same(rates, [error_rate(v, r) for (_, v), r in zip(pairs, regions)])
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -237,7 +243,14 @@ class TestStackedArithmetic:
         rng = np.random.default_rng([19, n])
         values = rng.standard_exponential((self.ROWS, n)) * 10.0 ** rng.integers(-12, 12, (self.ROWS, n))
         mask = rng.random((self.ROWS, n)) < rng.random((self.ROWS, 1))
-        assert self._same(audit._masked_sum(values, mask), [np.add.reduce(v[m]) for v, m in zip(values, mask)])
+        mask[::9] = False
+        stacked = _masked_sum(values, mask)
+        assert self._same(stacked, [np.add.reduce(v[m]) for v, m in zip(values, mask)])
+        # The one-row path, a plain boolean index, gives each row's bytes too,
+        # and a deeper stack gives the same rows along its last axis.
+        assert self._same(stacked, [_masked_sum(v, m) for v, m in zip(values, mask)])
+        assert self._same(_masked_sum(values.reshape(8, 25, n), mask.reshape(8, 25, n)), stacked.reshape(8, 25))
+        assert _masked_sum(values[0], np.zeros(n, dtype=bool)) == 0.0
 
     @pytest.mark.parametrize("n", range(1, 13))
     @pytest.mark.parametrize(
@@ -257,7 +270,8 @@ class TestStackedArithmetic:
         raw = _masses_with_zeros(rng, (self.ROWS, 2, n))
         m = audit._clean(raw)
         one_row = [divergence(kind, ProbVector(Alphabet(n), p), ProbVector(Alphabet(n), q)) for p, q in raw]
-        assert self._same(audit._stacked_divergence(kind, m[:, 0], m[:, 1]), one_row)
+        assert all(type(value) is float for value in one_row)
+        assert self._same(_divergence_arrays(kind, m[:, 0], m[:, 1]), one_row)
 
 
 class TestRunAudit:

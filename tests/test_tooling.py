@@ -1,6 +1,7 @@
 """Tooling that reaches into the library from outside: the benchmark's traced
-runs, the import boundary that keeps the lattice oracle independent, and the
-README's quickstart and audit paragraph."""
+runs, the source boundaries that keep the lattice oracle independent and the
+audit free of formula copies, and the README's quickstart and audit
+paragraph."""
 
 import ast
 import importlib.util
@@ -13,6 +14,7 @@ from cdptradeoff import audit, solver
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
 ORACLE = ROOT / "src" / "cdptradeoff" / "oracle.py"
+AUDIT = ROOT / "src" / "cdptradeoff" / "audit.py"
 README = ROOT / "README.md"
 
 
@@ -54,6 +56,15 @@ def test_oracle_imports_no_solver_or_metrics_code():
     from_metrics = imported.get("metrics", set())
     assert not {name for name in from_metrics if name.startswith("_")}
     assert not from_metrics & {"divergence", "expected_distortion"}
+
+
+def test_audit_sums_nothing_of_its_own():
+    # The audit's suites evaluate the library's own error-rate, Bayes-error and
+    # divergence forms on their stacks, so that they check the library and not
+    # a copy of its formulas; a sum in the audit would be the start of a copy.
+    calls = [node for node in ast.walk(ast.parse(AUDIT.read_text(encoding="utf-8"))) if isinstance(node, ast.Call)]
+    sums = [ast.unparse(call) for call in calls if re.search(r"(\badd\.reduce|\bsum)$", ast.unparse(call.func))]
+    assert not sums
 
 
 def test_readme_quickstart_runs(capsys):
