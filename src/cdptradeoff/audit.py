@@ -144,10 +144,10 @@ class AuditReport:
 # ---------------------------------------------------------------------------
 
 
-def random_mass(rng: np.random.Generator, n: int, rows: Optional[int] = None) -> np.ndarray:
-    """A uniform draw from the simplex on ``n`` symbols, or ``rows`` of them stacked.
+def random_mass(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A uniform draw from the simplex on ``n`` symbols.
 
-    Bit for bit ``rng.dirichlet(np.ones(n), size=rows)``, which draws each
+    Bit for bit ``rng.dirichlet(np.ones(n))``, which draws each
     entry as a standard exponential (a unit-shape gamma), adds a row from
     left to right starting at 0.0, and multiplies the row by the reciprocal
     of its total.  The row total here is the last entry of the running sum
@@ -155,7 +155,7 @@ def random_mass(rng: np.random.Generator, n: int, rows: Optional[int] = None) ->
     same order; ``np.sum`` adds pairwise from 8 entries on, and dividing
     instead of multiplying rounds differently.
     """
-    return _simplex(rng.standard_exponential(n if rows is None else (rows, n)))
+    return _simplex(rng.standard_exponential(n))
 
 
 def _simplex(exponentials: np.ndarray) -> np.ndarray:
@@ -352,14 +352,17 @@ def _suite(name: str, tolerance: float, detail: str, trials: int = DEFAULT_TRIAL
 
     The verdict is the same for every suite: the worst violation, running up
     from 0.0, against ``tolerance``.  A NaN violation is the worst from then
-    on, so it fails the suite and is reported as ``worst``.  The reported
-    ``trials`` counts the violations yielded; ``trials`` here is the suite's
-    default count.
+    on, so it fails the suite and is reported as ``worst``.  A suite of no
+    trials would pass vacuously, so a suite asked for fewer than 1 raises
+    ``ValueError``.  The reported ``trials`` counts the violations yielded;
+    ``trials`` here is the suite's default count.
     """
 
     def wrap(violations):
         @functools.wraps(violations)
         def suite(rng: np.random.Generator, trials: int = trials) -> PropertyResult:
+            if trials < 1:
+                raise ValueError(f"trials must be at least 1, got {trials}")
             worst, count = 0.0, 0
             for v in violations(rng, trials):
                 # ``max`` keeps a NaN once it holds one, but never takes one in.
@@ -653,11 +656,9 @@ def run_audit(seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS) -> AuditRe
     ``trials`` sets the scalar suites; the two surface suites, which solve
     whole grids, always run ``SURFACE_TRIALS``.  Per-suite generators keep
     one suite's draw count from shifting another suite's instances, so
-    reports are stable under suite reordering.  A suite of no trials would
-    pass vacuously, so ``trials`` must be at least 1.
+    reports are stable under suite reordering.  ``trials`` must be at least
+    1, as every suite requires.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
     surfaces = (check_cdp_surface, check_scdp_surface)
     return AuditReport(
         seed=seed,

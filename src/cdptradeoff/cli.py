@@ -36,6 +36,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -76,10 +77,16 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _get(raw: dict, field: str, path: str):
-    if field not in raw:
-        raise ConfigError(path, "missing required field")
-    return raw[field]
+def _get(raw: dict, path: str, name: str, read=None):
+    """The field ``name`` of the object at ``path`` (``""`` at the top level), read by ``read``.
+
+    The field's own path is ``path.name``, or ``name`` at the top level: a
+    missing field is a ``ConfigError`` naming it, and ``read(value, its path)`` builds it.
+    """
+    field = f"{path}.{name}" if path else name
+    if name not in raw:
+        raise ConfigError(field, "missing required field")
+    return raw[name] if read is None else read(raw[name], field)
 
 
 @contextmanager
@@ -146,28 +153,28 @@ def _as_grid(value, path: str) -> tuple:
 
 def _build_source(raw, path: str) -> MixtureSource:
     raw = _as_object(raw, path)
-    prior1 = _as_float(_get(raw, "prior1", f"{path}.prior1"), f"{path}.prior1")
-    class1 = _get(raw, "class1", f"{path}.class1")
-    class2 = _get(raw, "class2", f"{path}.class2")
+    prior1 = _get(raw, path, "prior1", _as_float)
+    masses = ("class1", "class2")
+    for name in masses:  # both are present before either is read
+        _get(raw, path, name)
     with _naming(path):
-        return MixtureSource.from_masses(
-            prior1, 1.0 - prior1, _as_array(class1, f"{path}.class1"), _as_array(class2, f"{path}.class2")
-        )
+        class1, class2 = (_get(raw, path, name, _as_array) for name in masses)
+        return MixtureSource.from_masses(prior1, 1.0 - prior1, class1, class2)
 
 
-def _build_degrade(raw, source: MixtureSource, path: str) -> Channel:
+def _build_degrade(raw, path: str, source: MixtureSource) -> Channel:
     raw = _as_object(raw, path)
-    kind = _get(raw, "type", f"{path}.type")
+    kind = _get(raw, path, "type")
     with _naming(path):
         if kind == "bsc":
-            flip = _as_float(_get(raw, "flip", f"{path}.flip"), f"{path}.flip")
+            flip = _get(raw, path, "flip", _as_float)
             if source.alphabet.size != 2:
                 raise ConfigError(path, "bsc degradation needs a binary source")
             return Channel.bsc(flip)
         if kind == "identity":
             return Channel.identity(source.alphabet)
         if kind == "rows":
-            rows = _as_array(_get(raw, "rows", f"{path}.rows"), f"{path}.rows")
+            rows = _get(raw, path, "rows", _as_array)
             if rows.ndim != 2 or rows.shape[0] != source.alphabet.size:
                 raise ConfigError(
                     path, f"rows must be a {source.alphabet.size}-row stochastic matrix"
@@ -178,7 +185,7 @@ def _build_degrade(raw, source: MixtureSource, path: str) -> Channel:
 
 def _build_divergence(raw, path: str) -> DivergenceKind:
     raw = _as_object(raw, path)
-    name = _get(raw, "name", f"{path}.name")
+    name = _get(raw, path, "name")
     with _naming(path):
         if name == TOTAL_VARIATION:
             return DivergenceKind.total_variation()
@@ -187,26 +194,24 @@ def _build_divergence(raw, path: str) -> DivergenceKind:
         if name == HELLINGER:
             return DivergenceKind.hellinger()
         if name == RENYI:
-            alpha = _as_float(_get(raw, "alpha", f"{path}.alpha"), f"{path}.alpha")
-            return DivergenceKind.renyi(alpha)
+            return DivergenceKind.renyi(_get(raw, path, "alpha", _as_float))
     raise ConfigError(f"{path}.name", f"unknown divergence {name!r}")
 
 
-def _build_distortion(raw, source: MixtureSource, restore: Alphabet, path: str) -> DistortionMatrix:
+def _build_distortion(raw, path: str, source: MixtureSource, restore: Alphabet) -> DistortionMatrix:
     raw = _as_object(raw, path)
-    kind = _get(raw, "type", f"{path}.type")
+    kind = _get(raw, path, "type")
     with _naming(path):
         if kind == "hamming":
             return DistortionMatrix.hamming(source.alphabet, restore)
         if kind == "matrix":
-            cost = _as_array(_get(raw, "cost", f"{path}.cost"), f"{path}.cost")
-            return DistortionMatrix(source.alphabet, restore, cost)
+            return DistortionMatrix(source.alphabet, restore, _get(raw, path, "cost", _as_array))
     raise ConfigError(f"{path}.type", f"unknown distortion type {kind!r}")
 
 
-def _build_classifier(raw, source: MixtureSource, restore: Alphabet, path: str) -> DecisionRegion:
+def _build_classifier(raw, path: str, source: MixtureSource, restore: Alphabet) -> DecisionRegion:
     raw = _as_object({"type": "bayes"} if raw is None else raw, path)
-    kind = _get(raw, "type", f"{path}.type")
+    kind = _get(raw, path, "type")
     if kind == "bayes":
         if restore.size != source.alphabet.size:
             raise ConfigError(
@@ -215,7 +220,7 @@ def _build_classifier(raw, source: MixtureSource, restore: Alphabet, path: str) 
             )
         return DecisionRegion(restore, bayes_region(source).members)
     if kind == "indices":
-        indices = _get(raw, "indices", f"{path}.indices")
+        indices = _get(raw, path, "indices")
         with _naming(path):
             return DecisionRegion.from_indices(restore, indices)
     raise ConfigError(f"{path}.type", f"unknown classifier type {kind!r}")
@@ -225,15 +230,15 @@ def build_instance(raw: dict) -> ProblemInstance:
     """Build a problem instance from a parsed config object."""
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be an object")
-    source = _build_source(_get(raw, "source", "source"), "source")
-    degrade = _build_degrade(_get(raw, "degrade", "degrade"), source, "degrade")
+    source = _get(raw, "", "source", _build_source)
+    degrade = _get(raw, "", "degrade", partial(_build_degrade, source=source))
     restore_size = raw.get("restore_size", source.alphabet.size)
     if not isinstance(restore_size, int) or isinstance(restore_size, bool) or restore_size < 1:
         raise ConfigError("restore_size", f"expected a positive integer, got {restore_size!r}")
     restore = Alphabet(restore_size)
-    delta = _build_distortion(_get(raw, "distortion", "distortion"), source, restore, "distortion")
-    kind = _build_divergence(_get(raw, "divergence", "divergence"), "divergence")
-    classifier = _build_classifier(raw.get("classifier"), source, restore, "classifier")
+    delta = _get(raw, "", "distortion", partial(_build_distortion, source=source, restore=restore))
+    kind = _get(raw, "", "divergence", _build_divergence)
+    classifier = _build_classifier(raw.get("classifier"), "classifier", source, restore)
     with _naming("config"):
         return ProblemInstance(
             source=source,
@@ -254,8 +259,8 @@ def load_config(path: str) -> RunConfig:
     except json.JSONDecodeError as err:
         raise ConfigError("config", f"invalid JSON: {err}") from None
     instance = build_instance(raw)
-    d_grid = _as_grid(_get(raw, "d_grid", "d_grid"), "d_grid")
-    p_grid = _as_grid(_get(raw, "p_grid", "p_grid"), "p_grid")
+    d_grid = _get(raw, "", "d_grid", _as_grid)
+    p_grid = _get(raw, "", "p_grid", _as_grid)
     mode = raw.get("mode", "both")
     if mode not in ("cdp", "scdp", "both"):
         raise ConfigError("mode", f"expected 'cdp', 'scdp', or 'both', got {mode!r}")
@@ -280,50 +285,52 @@ def _check_seed(seed, field: str) -> int:
 
 
 def _fmt_float(x: float) -> str:
-    if x is None or (isinstance(x, float) and math.isnan(x)):
+    if isinstance(x, float) and math.isnan(x):
         return ""
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return format(float(x), ".17g")
 
 
+def _cells(tables):
+    """Yield ``(mode, D, P, cell)`` for every solved cell, table by table, each in row-major order."""
+    for table in tables:
+        for d, row in zip(table.d_grid, table.cells):
+            for p, cell in zip(table.p_grid, row):
+                yield table.mode, d, p, cell
+
+
 def _write_sweep_csv(fh, tables) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["mode", "D", "P", "value", "status", "achieved_D", "achieved_P", "iterations"])
-    for table in tables:
-        for i, d in enumerate(table.d_grid):
-            for j, p in enumerate(table.p_grid):
-                cell = table.cells[i][j]
-                writer.writerow(
-                    [
-                        table.mode,
-                        _fmt_float(d),
-                        _fmt_float(p),
-                        _fmt_float(cell.value),
-                        cell.status.value,
-                        _fmt_float(cell.achieved_distortion),
-                        _fmt_float(cell.achieved_perception),
-                        str(int(cell.certificate.get("iterations", 0))),
-                    ]
-                )
+    for mode, d, p, cell in _cells(tables):
+        writer.writerow(
+            [
+                mode,
+                _fmt_float(d),
+                _fmt_float(p),
+                _fmt_float(cell.value),
+                cell.status.value,
+                _fmt_float(cell.achieved_distortion),
+                _fmt_float(cell.achieved_perception),
+                str(int(cell.certificate["iterations"])),
+            ]
+        )
 
 
 def _kernel_dump(tables) -> dict:
-    cells = []
-    for table in tables:
-        for i, d in enumerate(table.d_grid):
-            for j, p in enumerate(table.p_grid):
-                cell = table.cells[i][j]
-                cells.append(
-                    {
-                        "mode": table.mode,
-                        "D": d,
-                        "P": p,
-                        "status": cell.status.value,
-                        "kernel": None if cell.kernel is None else cell.kernel.matrix.tolist(),
-                    }
-                )
-    return {"cells": cells}
+    return {
+        "cells": [
+            {
+                "mode": mode,
+                "D": d,
+                "P": p,
+                "status": cell.status.value,
+                "kernel": None if cell.kernel is None else cell.kernel.matrix.tolist(),
+            }
+            for mode, d, p, cell in _cells(tables)
+        ]
+    }
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -332,6 +339,10 @@ def _emit(text: str, out: Optional[str]) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _emit_json(payload, out: Optional[str]) -> None:
+    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +358,7 @@ def cmd_sweep(args) -> int:
     _write_sweep_csv(buffer, tables)
     _emit(buffer.getvalue(), args.out)
     if args.dump_kernels:
-        payload = json.dumps(_kernel_dump(tables), sort_keys=True, indent=2) + "\n"
-        _emit(payload, args.dump_kernels)
+        _emit_json(_kernel_dump(tables), args.dump_kernels)
     return EXIT_OK
 
 
@@ -356,65 +366,51 @@ def cmd_audit(args) -> int:
     # The instance in the config is validated up front (a malformed config is a
     # config error even though the randomized suites draw their own instances);
     # the config also carries the default seed, which --seed overrides.
-    seed = args.seed
-    if seed is not None:
-        _check_seed(seed, "--seed")
-    if args.config is not None:
-        config = load_config(args.config)
-        if seed is None:
-            seed = config.seed
-    if seed is None:
-        seed = DEFAULT_SEED
-    report = run_audit(seed=seed, trials=args.trials)
-    payload = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-    _emit(payload, args.out)
+    seed = None if args.seed is None else _check_seed(args.seed, "--seed")
+    config_seed = DEFAULT_SEED if args.config is None else load_config(args.config).seed
+    report = run_audit(seed=config_seed if seed is None else seed, trials=args.trials)
+    _emit_json(report.to_dict(), args.out)
     return EXIT_OK if report.passed else EXIT_AUDIT_FAIL
 
 
 def cmd_probe_scdp_convexity(args) -> int:
     config = load_config(args.config)
     table = sweep_surface(config.instance, config.d_grid, config.p_grid, "scdp")
+    cells = list(_cells([table]))
     values = table.value_matrix()
-    gaps = np.array(
-        [[cell.certificate.get("duality_gap") for cell in row] for row in table.cells], dtype=float
-    )
+    gaps = np.array([cell.certificate["duality_gap"] for *_, cell in cells], dtype=float).reshape(values.shape)
     excess = midpoint_excess(config.d_grid, values)
-    violations = []
-    worst = 0.0
+    # A solved value overestimates C_S by at most its certified gap and never
+    # undercuts it, so only the midpoint's gap can fake an excess; a violation
+    # counts once the excess clears that.  NaN excess counts as neither.
+    certified = excess - gaps[1:-1] - 1e-9
     d_grid = config.d_grid
-    for j, i in zip(*np.nonzero(~np.isnan(excess.T))):
-        # A solved value overestimates C_S by at most its certified gap and
-        # never undercuts it, so only the midpoint's gap can fake an excess;
-        # a violation counts once the excess clears that.
-        certified = float(excess[i, j] - gaps[i + 1, j] - 1e-9)
-        worst = max(worst, certified)
-        if certified > 0.0:
-            violations.append(
-                {
-                    "P": config.p_grid[j],
-                    "d_lo": d_grid[i],
-                    "d_mid": d_grid[i + 1],
-                    "d_hi": d_grid[i + 2],
-                    "excess": float(excess[i, j]),
-                    "excess_beyond_gap": certified,
-                }
-            )
     payload = {
         "grid": {"D": list(d_grid), "P": list(config.p_grid)},
         "max_gap": None if np.isnan(gaps).all() else float(np.nanmax(gaps)),
         "cells": [
-            {"D": d, "P": p, "value": (None if math.isnan(values[i, j]) else float(values[i, j]))}
-            for i, d in enumerate(d_grid)
-            for j, p in enumerate(config.p_grid)
+            {"D": d, "P": p, "value": None if math.isnan(value) else float(value)}
+            for (_, d, p, _), value in zip(cells, values.flat)
         ],
-        "violations": violations,
-        "max_violation": worst,
+        "violations": [
+            {
+                "P": config.p_grid[j],
+                "d_lo": d_grid[i],
+                "d_mid": d_grid[i + 1],
+                "d_hi": d_grid[i + 2],
+                "excess": float(excess[i, j]),
+                "excess_beyond_gap": float(certified[i, j]),
+            }
+            # P-major order: every triple of one P column before the next column.
+            for j, i in zip(*np.nonzero(certified.T > 0.0))
+        ],
+        "max_violation": float(np.max(certified, initial=0.0, where=~np.isnan(certified))),
         "note": (
             "the strong surface carries no convexity guarantee; positive "
             "excess beyond the certified gap exhibits an actual non-convexity"
         ),
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    _emit_json(payload, args.out)
     return EXIT_OK
 
 

@@ -53,11 +53,12 @@ class TestGenerators:
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 3])
     def test_random_mass_is_an_all_ones_dirichlet_to_the_byte(self, seed):
         # ``Generator.dirichlet`` is the reference the exponential sampler
-        # replaces: same bytes, and the generator left in the same state.
+        # replaces: same bytes, and the generator left in the same state.  The
+        # stacked rows go through ``_simplex``, as the stacked suites draw them.
         for n in range(1, 13):
             for rows in (None, *range(1, 8)):
                 ours, ref = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
-                got = random_mass(ours, n, rows)
+                got = random_mass(ours, n) if rows is None else audit._simplex(ours.standard_exponential((rows, n)))
                 want = ref.dirichlet(np.ones(n), size=rows)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (n, rows)
@@ -149,6 +150,12 @@ class TestSuites:
         assert not res.passed
         assert math.isnan(res.worst)
         assert res.trials == 5
+
+    @pytest.mark.parametrize("suite", ALL_SUITES)
+    def test_a_suite_of_no_trials_is_rejected(self, suite):
+        # No trials would be a vacuous pass, whether or not run_audit calls it.
+        with pytest.raises(ValueError, match="at least 1"):
+            suite(np.random.default_rng(0), 0)
 
     @pytest.mark.parametrize(
         "suite, name",

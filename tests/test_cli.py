@@ -1,6 +1,7 @@
 """Command-line front door: config validation, outputs, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -18,6 +19,7 @@ from cdptradeoff.cli import (
     main,
 )
 from cdptradeoff.oracle import grid_search_scdp
+from conftest import FIXTURE_DIR
 
 CANONICAL = {
     "source": {"prior1": 0.5, "class1": [0.8, 0.2], "class2": [0.2, 0.8]},
@@ -356,3 +358,31 @@ class TestDeterminism:
         main(["audit", "--config", cfg, "--trials", "20", "--out", str(a)])
         main(["audit", "--config", cfg, "--trials", "20", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestFrozenCliOutputs:
+    """SHA-256 of each output file the subcommands write, pinned to the byte.
+
+    The CSV prints every float in shortest round-trip form and the JSON
+    outputs in ``repr`` precision, so a change in the cell walk, the
+    formatting or the probe's arithmetic that moves one bit changes a digest.
+    """
+
+    DIGESTS = {
+        ("canonical", "csv"): "c1aa112d866ffc277dda471ed69e8f5c74a2d9f4fadde98e3a3f3f3deec00bfc",
+        ("canonical", "kernels"): "1a1ced94eb431f4623887a1d6535bc242e0c8731c1feb9e18ad9c24b42a2f786",
+        ("canonical", "probe"): "93b135189c8c41ded11c8120b5a5ba53b1ef7349f47ae819e004f60356858a53",
+        ("binary_break", "csv"): "3c68be6d96e1bc57e3daae7cbabe76dff320290aa3ab836d41ee05f2c5db5e3d",
+        ("binary_break", "kernels"): "f776714c4568179a33f33481c86341a268f6038b96b9e60f87af284fc1cae05a",
+        ("binary_break", "probe"): "74a102488f4210d5bef159b8437223405adffab3d9ab9953c081810c176ad3f0",
+    }
+
+    @pytest.mark.parametrize("config", ["canonical", "binary_break"])
+    def test_output_bytes_are_unchanged(self, tmp_path, config):
+        cfg = str(FIXTURE_DIR / "canonical.json") if config == "canonical" else write_config(tmp_path, BINARY_BREAK)
+        out = {name: tmp_path / name for name in ("csv", "kernels", "probe")}
+        argv = ["sweep", "--config", cfg, "--out", str(out["csv"]), "--dump-kernels", str(out["kernels"])]
+        assert main(argv) == EXIT_OK
+        assert main(["probe-scdp-convexity", "--config", cfg, "--out", str(out["probe"])]) == EXIT_OK
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in out.items()}
+        assert digests == {name: self.DIGESTS[config, name] for name in out}

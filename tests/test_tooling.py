@@ -1,7 +1,7 @@
 """Tooling that reaches into the library from outside: the benchmark's traced
 runs, the source boundaries that keep the lattice oracle independent and the
-audit free of formula copies, and the README's quickstart and audit
-paragraph."""
+audit free of formula copies, and the README's quickstart, certificate and
+audit paragraphs."""
 
 import ast
 import importlib.util
@@ -73,6 +73,17 @@ def test_readme_quickstart_runs(capsys):
     [block] = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
     exec(compile(block, str(README), "exec"), {"__name__": "readme_quickstart"})
     assert capsys.readouterr().out.count("\n") >= 4
+
+
+def test_readme_certificate_paragraph_lists_the_keys_in_order():
+    # The README names the keys every certificate has "in this order"; read
+    # them in the order that sentence names them, leaving out its
+    # parenthesized list of methods, and compare with the order certificates
+    # follow.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    [sentence] = re.findall(r"Every certificate has these keys, in this order: (.*?)\. ", text)
+    named = re.findall(r"`(\w+)`", re.sub(r"\([^()]*,[^()]*\)", "", sentence))
+    assert tuple(named) == solver._SHARED_KEYS
 
 
 def test_readme_audit_paragraph_states_the_trial_counts():
