@@ -44,14 +44,7 @@ import numpy as np
 from .audit import DEFAULT_SEED, DEFAULT_TRIALS, SURFACE_TRIALS, midpoint_excess, run_audit
 from .classify import DecisionRegion, bayes_region
 from .errors import CdpError, ConfigError
-from .metrics import (
-    HELLINGER,
-    KULLBACK_LEIBLER,
-    RENYI,
-    TOTAL_VARIATION,
-    DistortionMatrix,
-    DivergenceKind,
-)
+from .metrics import _KNOWN_KINDS, RENYI, DistortionMatrix, DivergenceKind
 from .prob_core import Alphabet, Channel, MixtureSource
 from .solver import ProblemInstance, check_grid, sweep_surface
 
@@ -186,16 +179,10 @@ def _build_degrade(raw, path: str, source: MixtureSource) -> Channel:
 def _build_divergence(raw, path: str) -> DivergenceKind:
     raw = _as_object(raw, path)
     name = _get(raw, path, "name")
+    if name not in _KNOWN_KINDS:
+        raise ConfigError(f"{path}.name", f"unknown divergence {name!r}")
     with _naming(path):
-        if name == TOTAL_VARIATION:
-            return DivergenceKind.total_variation()
-        if name == KULLBACK_LEIBLER:
-            return DivergenceKind.kullback_leibler()
-        if name == HELLINGER:
-            return DivergenceKind.hellinger()
-        if name == RENYI:
-            return DivergenceKind.renyi(_get(raw, path, "alpha", _as_float))
-    raise ConfigError(f"{path}.name", f"unknown divergence {name!r}")
+        return DivergenceKind(name, _get(raw, path, "alpha", _as_float) if name == RENYI else None)
 
 
 def _build_distortion(raw, path: str, source: MixtureSource, restore: Alphabet) -> DistortionMatrix:

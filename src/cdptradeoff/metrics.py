@@ -12,7 +12,7 @@ Conventions, fixed here once for the whole package:
   that scale.
 - Kullback-Leibler divergence is measured in nats.
 - Hellinger means the squared Hellinger distance ``1/2 * sum (sqrt p - sqrt q)^2``.
-- Renyi divergence of order ``alpha`` (alpha > 0, alpha != 1) follows
+- Renyi divergence of order ``alpha`` (0 < alpha < inf, alpha != 1) follows
   ``1/(alpha-1) * ln sum p^alpha q^(1-alpha)``.
 
 ``+inf`` is a first-class value: KL and Renyi return it on support mismatch
@@ -56,8 +56,9 @@ class DivergenceKind:
         if self.name == RENYI:
             if self.alpha is None:
                 raise InvalidDistributionError("renyi divergence requires an alpha")
-            if not (self.alpha > 0.0 and self.alpha != 1.0):
-                raise InvalidDistributionError(f"renyi alpha must be > 0 and != 1, got {self.alpha}")
+            # At an infinite order every divergence would read NaN.
+            if not (0.0 < self.alpha < math.inf and self.alpha != 1.0):
+                raise InvalidDistributionError(f"renyi alpha must be finite, > 0 and != 1, got {self.alpha}")
         elif self.alpha is not None:
             raise InvalidDistributionError(f"alpha is only meaningful for renyi, got kind {self.name!r}")
 

@@ -145,17 +145,23 @@ def _lattice_counts(m: int, k: int) -> np.ndarray:
     return out
 
 
+def _denominator(step: float) -> int:
+    """The integer m = 1/step; ``step`` must divide 1 up to a 1e-9 tolerance."""
+    if not (0.0 < step <= 1.0):
+        raise ValueError(f"step must lie in (0, 1], got {step}")
+    m = round(1.0 / step)
+    if abs(m * step - 1.0) > 1e-9:
+        raise ValueError(f"step must divide 1 (got {step}, nearest denominator {m})")
+    return m
+
+
 def simplex_lattice(step: float, k: int) -> np.ndarray:
     """Probability vectors of length k whose entries are multiples of ``step``.
 
     ``step`` must divide 1 up to a 1e-9 tolerance.  Counts are integers, so
     the only rounding is the single division by the denominator.
     """
-    if not (0.0 < step <= 1.0):
-        raise ValueError(f"step must lie in (0, 1], got {step}")
-    m = round(1.0 / step)
-    if abs(m * step - 1.0) > 1e-9:
-        raise ValueError(f"step must divide 1 (got {step}, nearest denominator {m})")
+    m = _denominator(step)
     return _lattice_counts(m, k) / float(m)
 
 
@@ -173,7 +179,9 @@ class KernelGrid:
 
     @property
     def points_per_row(self) -> int:
-        return self.row_points.shape[0]
+        """The lattice's row count, C(m + k - 1, k - 1) for denominator m and
+        k restored symbols, counted without building the lattice."""
+        return math.comb(_denominator(self.step) + self.n_restored - 1, self.n_restored - 1)
 
     @property
     def total_kernels(self) -> int:

@@ -36,6 +36,7 @@ results cannot depend on evaluation order.
 
 from __future__ import annotations
 
+import heapq
 import importlib.machinery
 import importlib.util
 import math
@@ -202,12 +203,17 @@ class ProblemInstance:
         """
         return self.region_weights(self.classifier.members)
 
+    @cached_property
+    def class_weights(self) -> tuple:
+        """(w_in, w_out): the error weight of kernel entry (y, xhat) when xhat
+        is inside the decision region, where class 2 errs, and outside it,
+        where class 1 errs."""
+        return self.source.prior2 * self.p_y2, self.source.prior1 * self.p_y1
+
     def region_weights(self, members: np.ndarray) -> np.ndarray:
-        """W[..., y, xhat] for the decision regions whose indicators over Xhat
-        are the last axis of ``members``."""
-        w_in = self.source.prior2 * self.p_y2
-        w_out = self.source.prior1 * self.p_y1
-        return np.where(members[..., None, :], w_in[:, None], w_out[:, None])
+        """W[y, xhat] for the decision region whose indicator over Xhat is ``members``."""
+        w_in, w_out = self.class_weights
+        return np.where(members, w_in[:, None], w_out[:, None])
 
     @cached_property
     def distortion_weights(self) -> np.ndarray:
@@ -725,27 +731,35 @@ def solve_scdp(prob: ProblemInstance, dist_budget: float, perc_budget: float) ->
     when bit j of r is set.  Regions are visited in order of their
     unconstrained bound sum_y min_j W_R[y, j], ties by index; the loop stops
     once the next bound is within ``REGION_STOP_TOL`` of the best Bayes error
-    found, since no remaining region can beat it by more.  The certificate's
-    duality gap is the best value minus the smallest lower bound over all
-    regions (a solved region's objective minus its own gap, a skipped
-    region's bound): at most ``REGION_STOP_TOL`` under total variation, and
-    within ``GENERAL_GAP_TOL`` under the smooth divergences unless the status
-    says ``IterationLimit``.
+    found, since no remaining region can beat it by more.  The bound has a
+    closed form, so only the region being solved is ever built: W_R[y, j] is
+    w_in[y] inside R and w_out[y] outside it (``ProblemInstance.class_weights``),
+    so regions 1 ... 2^n - 2 all have the bound sum_y min(w_in[y], w_out[y]),
+    the degraded Bayes error, and the visit merges the empty region
+    (sum_y w_out[y]) and the full one (sum_y w_in[y]) into that run by
+    (bound, index).  The certificate's duality gap is the best value minus
+    the smallest lower bound over all regions (a solved region's objective
+    minus its own gap, a skipped region's bound): at most ``REGION_STOP_TOL``
+    under total variation, and within ``GENERAL_GAP_TOL`` under the smooth
+    divergences unless the status says ``IterationLimit``.
     """
     prob.check_budgets(dist_budget, perc_budget)
     n = prob.restore_alphabet.size
     count = 2**n
-    regions = (np.arange(count)[:, None] >> np.arange(n)[None, :]) & 1 == 1
-    weights = prob.region_weights(regions)
-    bounds = weights.min(axis=2).sum(axis=1)
+    w_in, w_out = prob.class_weights
+    # (bound, index) order is the order of a stable sort of all 2^n bounds.
+    shared = float(np.add.reduce(np.minimum(w_in, w_out)))
+    ends = sorted([(float(np.add.reduce(w_out)), 0), (float(np.add.reduce(w_in)), count - 1)])
+    bits = np.arange(n)
     engine = _Engine()
     best_val, best_K, lower = math.inf, None, math.inf
     solved = 0
-    for r in np.argsort(bounds, kind="stable"):
-        if bounds[r] >= best_val - REGION_STOP_TOL:
-            lower = min(lower, float(bounds[r]))
+    for bound, r in heapq.merge(((shared, i) for i in range(1, count - 1)), ends):
+        if bound >= best_val - REGION_STOP_TOL:
+            lower = min(lower, bound)
             break
-        status, kernel, cert = _minimize_linear(engine, prob, weights[r], dist_budget, perc_budget)
+        members = (r >> bits) & 1 == 1
+        status, kernel, cert = _minimize_linear(engine, prob, prob.region_weights(members), dist_budget, perc_budget)
         if kernel is None:
             return _result(prob, None, True, status, cert)
         solved += 1
@@ -754,7 +768,7 @@ def solve_scdp(prob: ProblemInstance, dist_budget: float, perc_budget: float) ->
         m1, m2 = kernel.T @ prob.p_y1, kernel.T @ prob.p_y2
         value = float(_bayes_error_arrays(prob.source.prior1, prob.source.prior2, m1, m2))
         q1, q2 = prob.source.prior1 * m1, prob.source.prior2 * m2
-        lower = min(lower, float(np.where(regions[r], q2, q1).sum()) - cert["duality_gap"])
+        lower = min(lower, float(np.where(members, q2, q1).sum()) - cert["duality_gap"])
         if value < best_val:
             best_val, best_K = value, kernel
     gap = max(best_val - lower, 0.0)

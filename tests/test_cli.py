@@ -74,6 +74,10 @@ class TestConfigParsing:
         cfg = load_config(write_config(tmp_path, {"divergence": {"name": "renyi", "alpha": 2.0}}))
         assert cfg.instance.divergence.alpha == 2.0
 
+    def test_alpha_is_read_only_for_renyi(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {"divergence": {"name": "total_variation", "alpha": "x"}}))
+        assert cfg.instance.divergence == DivergenceKind.total_variation()
+
     def test_build_instance_rejects_missing_field(self):
         with pytest.raises(Exception) as err:
             build_instance({"source": {"prior1": 0.5, "class1": [1.0, 0.0]}})
@@ -166,6 +170,7 @@ class TestExitCodes:
             ({"degrade": {"type": "bsc", "flip": " 1e-1 "}}, "degrade.flip"),
             ({"d_grid": [0.1, "Infinity"]}, "d_grid[1]"),
             ({"source": {"prior1": 10**400}}, "source.prior1"),
+            ({"divergence": {"name": "renyi", "alpha": math.inf}}, "divergence"),  # written as Infinity
         ],
     )
     def test_config_errors_exit_2_naming_the_field(self, tmp_path, capsys, overrides, field):

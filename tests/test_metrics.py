@@ -59,6 +59,13 @@ class TestDivergenceKind:
         with pytest.raises(InvalidDistributionError):
             DivergenceKind("renyi")
 
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_renyi_rejects_an_order_that_is_not_finite(self, alpha):
+        # At alpha = inf every divergence read NaN, and solves returned
+        # Optimal cells with a NaN achieved perception.
+        with pytest.raises(InvalidDistributionError, match="finite"):
+            DivergenceKind.renyi(alpha)
+
     def test_alpha_rejected_elsewhere(self):
         with pytest.raises(InvalidDistributionError):
             DivergenceKind("hellinger", alpha=2.0)

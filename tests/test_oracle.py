@@ -1,6 +1,7 @@
 """Lattice oracle: enumeration counts, slack semantics, solver cross-checks."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -86,6 +87,12 @@ class TestKernelGrid:
     def test_rounding_radius(self):
         assert KernelGrid(step=0.1, n_restored=4, n_outputs=2).rounding_radius() == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_points_per_row_counts_the_lattice_without_building_it(self, k):
+        for m in range(1, 25 if k < 6 else 16):
+            grid = KernelGrid(step=1.0 / m, n_outputs=2, n_restored=k)
+            assert grid.points_per_row == len(simplex_lattice(1.0 / m, k))
+
 
 @pytest.fixture
 def tiny_problem(canonical_problem):
@@ -114,6 +121,27 @@ class TestGridSearch:
         # 5001 lattice points per row, squared, overruns the ten-million cap.
         with pytest.raises(SizeError):
             grid_search_cdp(tiny_problem, math.inf, math.inf, step=0.0002)
+
+    def test_size_cap_is_checked_before_the_lattice_is_built(self):
+        # At step 0.01 a 4-symbol row has 176,851 lattice points.  Counting
+        # them by building them allocated 11 MB before the search was refused.
+        src = MixtureSource.from_masses(0.5, 0.5, [0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4])
+        cls = DecisionRegion.from_indices(src.alphabet, [0, 1])
+        prob = ProblemInstance(
+            src, Channel.identity(src.alphabet), src.alphabet, DistortionMatrix.hamming(src.alphabet), TV, cls
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError, match=str(176_851**4)):
+                grid_search_scdp(prob, math.inf, math.inf, step=0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_bad_step_is_reported_before_the_size_cap(self, tiny_problem):
+        with pytest.raises(ValueError, match="step must divide 1"):
+            grid_search_cdp(tiny_problem, math.inf, math.inf, step=0.00021)
 
     @pytest.mark.parametrize("search", [grid_search_cdp, grid_search_scdp])
     @pytest.mark.parametrize("budgets", [(math.nan, 0.1), (-0.1, 0.1), (0.3, math.nan), (0.3, -1e-9)])

@@ -1,6 +1,7 @@
 """Tradeoff solvers: routing, feasibility, budgets, and hand-derivable anchors."""
 
 import copy
+import hashlib
 import importlib.machinery
 import math
 import os
@@ -9,6 +10,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
@@ -490,6 +492,100 @@ class TestSolveScdp:
         assert r.status is SolveStatus.OPTIMAL
         assert abs(r.value - exhaustive.value) <= 1e-12
         assert 0.0 <= r.certificate["duality_gap"] <= 1e-12
+
+
+def wide_instance(n_restored, rng):
+    """A 4-symbol source seen through a random channel onto 4 outputs and
+    restored onto ``n_restored`` symbols at random costs; P must be inf."""
+    src = MixtureSource.from_masses(0.45, 0.55, rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4)))
+    deg = Channel.from_rows([rng.dirichlet(np.ones(4)) for _ in range(4)])
+    restore = Alphabet(n_restored)
+    delta = DistortionMatrix(src.alphabet, restore, rng.uniform(size=(4, n_restored)))
+    return ProblemInstance(src, deg, restore, delta, TV, DecisionRegion.from_indices(restore, [0]))
+
+
+class TestStrongSolveHoldsOneRegion:
+    def test_unconstrained_cell_of_16_symbols_allocates_no_region_stack(self):
+        # The stacked region weights of 2^16 regions took 37 MB.
+        prob = wide_instance(16, np.random.default_rng(3))
+        tracemalloc.start()
+        try:
+            r = solve_scdp(prob, math.inf, math.inf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert r.status is SolveStatus.OPTIMAL and r.certificate["regions_solved"] == 1
+        assert peak < 1e6
+
+    def test_unconstrained_cell_of_40_symbols_solves_one_region(self):
+        # Every region but the two ends has the degraded Bayes error as its
+        # bound, and the first of them solved attains it.
+        prob = wide_instance(40, np.random.default_rng(4))
+        r = solve_scdp(prob, math.inf, math.inf)
+        cert = r.certificate
+        assert r.status is SolveStatus.OPTIMAL
+        assert r.value == pytest.approx(bayes_error(prob.degraded), abs=1e-12)
+        assert (cert["regions_solved"], cert["regions_pruned"], cert["enumerated"]) == (1, 2**40 - 1, 2**40)
+
+
+def strong_instances():
+    """Strong instances that reach every order of the region visit: the empty
+    region tied with the shared bound, the full region tied with it, a single
+    restored symbol, a rectangular channel, and KL."""
+    three, one = Alphabet(3), Alphabet(1)
+    deg3 = Channel.from_rows([[0.7, 0.2, 0.1], [0.15, 0.7, 0.15], [0.1, 0.2, 0.7]])
+    masses = ([0.5, 0.3, 0.2], [0.3, 0.4, 0.3])
+    binary = MixtureSource.from_masses(0.5, 0.5, [0.8, 0.2], [0.2, 0.8])
+    sources = [MixtureSource.from_masses(0.3, 0.7, *masses), MixtureSource.from_masses(0.7, 0.3, *masses[::-1])]
+    probs = [
+        ProblemInstance(src, deg3, three, DistortionMatrix.hamming(three), TV, DecisionRegion.from_indices(three, [0]))
+        for src in sources
+    ]
+    one_cost = DistortionMatrix(binary.alphabet, one, [[0.3], [0.6]])
+    probs.append(ProblemInstance(binary, Channel.bsc(0.1), one, one_cost, TV, DecisionRegion(one, [True])))
+    to_two = Channel(three, Alphabet(2), np.array([[0.8, 0.2], [0.5, 0.5], [0.1, 0.9]]))
+    cost = DistortionMatrix(three, three, [[0.0, 0.4, 1.0], [0.5, 0.0, 0.5], [1.0, 0.4, 0.0]])
+    src = MixtureSource.from_masses(0.4, 0.6, *masses)
+    probs.append(ProblemInstance(src, to_two, three, cost, TV, DecisionRegion.from_indices(three, [1])))
+    probs.append(small_instance(np.random.default_rng(7), 3, KL))
+    return probs
+
+
+def strong_cells():
+    """(instance, D, P) over budgets from below the minimum distortion to none."""
+    cells = []
+    for prob in strong_instances():
+        dmin = min_distortion(prob)
+        ps = (0.0, 0.02, 0.15, math.inf) if prob.perception_defined() else (math.inf,)
+        for D in (max(dmin - 0.05, 0.0), dmin, dmin + 0.05, dmin + 0.3, math.inf):
+            cells += [(prob, D, P) for P in ps]
+    return cells
+
+
+class TestFrozenStrongSolves:
+    """SHA-256 over the status, value, achieved budgets, kernel bytes and
+    certificate items of fixed strong cells, pinned to the byte: the order in
+    which regions are visited and where the visit stops show in the counters,
+    the gap and the kernel."""
+
+    DIGEST = "d3181478db4669db468276c5cbf0519af658bfd8bd29dcc04899fcee626568c7"
+
+    def test_cells_are_unchanged(self):
+        h = hashlib.sha256()
+        for prob, D, P in strong_cells():
+            r = solve_scdp(prob, D, P)
+            h.update(r.status.value.encode() + cell_bytes(r) + repr(list(dict(r.certificate).items())).encode())
+        assert h.hexdigest() == self.DIGEST
+
+    def test_an_end_region_ties_the_shared_bound(self):
+        # Class 2 outweighs class 1 at every output of the first instance, so
+        # the empty region's bound equals that of every nontrivial region; class
+        # 1 does in the second, so the full region's does.
+        empty_tie, full_tie = strong_instances()[:2]
+        for prob, tied in ((empty_tie, 1), (full_tie, 0)):
+            weights = prob.class_weights  # (w_in, w_out)
+            shared = np.add.reduce(np.minimum(*weights))
+            assert np.add.reduce(weights[tied]) == shared < np.add.reduce(weights[1 - tied])
 
 
 class TestSweepSurface:
