@@ -256,13 +256,7 @@ def bridging_pair(rng: np.random.Generator):
         p2[rest] = (1.0 - h2) * random_mass(rng, n - 1)
     src = MixtureSource.from_masses(0.5, 0.5, p1, p2)
     # Merge symbols 0 and 1 into output 0; shift the others down.
-    n_out = max(n - 1, 1)
-    rows = np.zeros((n, n_out))
-    rows[0, 0] = 1.0
-    rows[1, 0] = 1.0
-    for x in range(2, n):
-        rows[x, x - 1] = 1.0
-    return src, Channel(src.alphabet, Alphabet(n_out), rows)
+    return src, Channel.deterministic(src.alphabet, Alphabet(max(n - 1, 1)), [max(x - 1, 0) for x in range(n)])
 
 
 def random_instance(rng: np.random.Generator, kind: Optional[DivergenceKind] = None) -> ProblemInstance:

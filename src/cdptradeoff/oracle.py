@@ -22,7 +22,9 @@ comparisons under those kinds should avoid razor-thin perception budgets.
 The search is still exhaustive: every lattice kernel is visited and the
 minimum taken.  It is evaluated from per-row tables, because every quantity
 it tests is a sum over kernel rows (``<G, K>``, ``<W, K>``, the restored
-marginal ``K^T p_Y`` and the two class masses of the Bayes error).  Each
+marginal ``K^T p_Y`` and the two class masses of the Bayes error).  The row
+lattice is the stars-and-bars enumeration of the counts in lexicographic
+order, built once per search and kept in no cache between searches, and each
 row's share at every lattice point is tabulated once per search.  Kernels are
 visited in blocks of leading-row "heads" crossed with runs of last-row
 points, which, flattened, is exactly the kernel order of
@@ -40,9 +42,10 @@ there cannot hide here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -97,24 +100,24 @@ def _divergence_batch(kind: DivergenceKind, p: np.ndarray, q: np.ndarray) -> np.
     support = np.flatnonzero(p > 0.0)
     if kind.name == KULLBACK_LEIBLER:
         vals = _column_sum(p[j] * np.log(p[j] / np.maximum(q[:, j], 1e-300)) for j in support)
+    else:
+        # log sum p^alpha q^(1-alpha) over q > 0, by log-sum-exp so that no power
+        # overflows at any order; a row with no such term has log-sum -inf.
+        alpha = kind.alpha
+        log_p = alpha * np.log(p[support])
+        with np.errstate(divide="ignore"):
+            logs = [
+                np.where(q[:, j] > 0.0, lp + (1.0 - alpha) * np.log(q[:, j]), -np.inf) for lp, j in zip(log_p, support)
+            ]
+            top = np.max(logs, axis=0)
+            top[~np.isfinite(top)] = 0.0
+            vals = (top + np.log(_column_sum(np.exp(column - top) for column in logs))) / (alpha - 1.0)
+        vals = np.maximum(vals, 0.0)
+    # KL and Renyi above order 1 are infinite where q misses the support of p.
+    if kind.name == KULLBACK_LEIBLER or kind.alpha > 1.0:
         for j in support:
             vals[q[:, j] == 0.0] = math.inf
-        return vals
-    # log sum p^alpha q^(1-alpha) over q > 0, by log-sum-exp so that no power
-    # overflows at any order; a row with no such term has log-sum -inf.
-    alpha = kind.alpha
-    log_p = alpha * np.log(p[support])
-    with np.errstate(divide="ignore"):
-        logs = [
-            np.where(q[:, j] > 0.0, lp + (1.0 - alpha) * np.log(q[:, j]), -np.inf) for lp, j in zip(log_p, support)
-        ]
-        top = np.max(logs, axis=0)
-        top[~np.isfinite(top)] = 0.0
-        vals = (top + np.log(_column_sum(np.exp(column - top) for column in logs))) / (alpha - 1.0)
-    if alpha > 1.0:
-        for j in support:
-            vals[q[:, j] == 0.0] = math.inf
-    return np.maximum(vals, 0.0)
+    return vals
 
 
 def _kernel_sums(head: np.ndarray, last: np.ndarray, heads: np.ndarray, digits: np.ndarray) -> np.ndarray:
@@ -127,22 +130,18 @@ def _kernel_sums(head: np.ndarray, last: np.ndarray, heads: np.ndarray, digits: 
     return np.take(head, heads, axis=-1) + np.take(last, digits, axis=-1)
 
 
-@lru_cache(maxsize=64)
-def _lattice_counts(m: int, k: int) -> np.ndarray:
-    """All length-k tuples of nonnegative integers summing to m, as an array."""
-    if k == 1:
-        out = np.array([[m]], dtype=np.intp)
-    else:
-        rows = []
-        for first in range(m + 1):
-            tail = _lattice_counts(m - first, k - 1)
-            block = np.empty((tail.shape[0], k), dtype=np.intp)
-            block[:, 0] = first
-            block[:, 1:] = tail
-            rows.append(block)
-        out = np.vstack(rows)
-    out.setflags(write=False)
-    return out
+def _row_count(m: int, k) -> int:
+    """C(m + k - 1, k - 1), the number of length-k tuples of nonnegative integers
+    summing to m; ``k`` must be an integer of at least 1 (a bool is not one)."""
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    return math.comb(m + k - 1, k - 1)
+
+
+def _digits(index: np.ndarray, n: int, width: int) -> np.ndarray:
+    """The ``width`` base-n digits of each index, most significant first, as (len(index), width)."""
+    powers = n ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return (index[:, None] // powers[None, :]) % n
 
 
 def _denominator(step: float) -> int:
@@ -158,11 +157,18 @@ def _denominator(step: float) -> int:
 def simplex_lattice(step: float, k: int) -> np.ndarray:
     """Probability vectors of length k whose entries are multiples of ``step``.
 
-    ``step`` must divide 1 up to a 1e-9 tolerance.  Counts are integers, so
-    the only rounding is the single division by the denominator.
+    ``step`` must divide 1 up to a 1e-9 tolerance.  The counts are the stars
+    and bars of m = 1/step in k parts: each choice of k - 1 bars among
+    m + k - 1 slots, in ``itertools.combinations`` order, gives the gaps
+    between the bars, so the rows come in lexicographic order.  Counts are
+    integers, so the only rounding is the single division by m.
     """
     m = _denominator(step)
-    return _lattice_counts(m, k) / float(m)
+    n, slots = _row_count(m, k), m + k - 1
+    bars = itertools.chain.from_iterable(itertools.combinations(range(slots), k - 1))
+    bars = np.fromiter(bars, dtype=np.intp, count=n * (k - 1)).reshape(n, k - 1)
+    counts = np.diff(np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, slots)), axis=1) - 1
+    return counts / float(m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +187,7 @@ class KernelGrid:
     def points_per_row(self) -> int:
         """The lattice's row count, C(m + k - 1, k - 1) for denominator m and
         k restored symbols, counted without building the lattice."""
-        return math.comb(_denominator(self.step) + self.n_restored - 1, self.n_restored - 1)
+        return _row_count(_denominator(self.step), self.n_restored)
 
     @property
     def total_kernels(self) -> int:
@@ -192,11 +198,9 @@ class KernelGrid:
         rows = self.row_points
         n = self.points_per_row
         total = self.total_kernels
-        powers = n ** np.arange(self.n_outputs - 1, -1, -1, dtype=np.int64)
         for start in range(0, total, chunk):
             idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            digits = (idx[:, None] // powers[None, :]) % n
-            yield rows[digits]
+            yield rows[_digits(idx, n, self.n_outputs)]
 
     def rounding_radius(self) -> float:
         """Row-wise l1 distance within which any kernel has a lattice neighbor."""
@@ -283,7 +287,6 @@ def _grid_search(
         tables["obj"] = prob.objective_weights @ rows.T
     last = {name: np.ascontiguousarray(table[-1].T) for name, table in tables.items()}
     n_heads = n ** (ny - 1)
-    head_powers = n ** np.arange(ny - 2, -1, -1, dtype=np.int64)
     heads_per_block = max(1, _CHUNK // n)
     tail = min(n, _CHUNK)
     best_val = math.inf
@@ -295,7 +298,7 @@ def _grid_search(
     # flattened, is a run of kernels in the order of KernelGrid.batches.
     for h0 in range(0, n_heads, heads_per_block):
         heads = np.arange(h0, min(h0 + heads_per_block, n_heads), dtype=np.int64)
-        head_digits = (heads[:, None] // head_powers[None, :]) % n
+        head_digits = _digits(heads, n, ny - 1)
         head = {
             name: np.ascontiguousarray(table[np.arange(ny - 1), head_digits].sum(axis=1).T)
             for name, table in tables.items()

@@ -52,7 +52,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .classify import DecisionRegion, _bayes_error_arrays, bayes_error, error_rate
-from .errors import DimensionError
+from .errors import DimensionError, InvalidDistributionError
 from .metrics import (
     TOTAL_VARIATION,
     DistortionMatrix,
@@ -96,6 +96,10 @@ _HIGHS_FALLBACK = {
 # _tangent_cut).
 _CUT_SLOPE_CAP = 1e6
 _CUT_PULLS = (0.0, *np.geomspace(1e-12, 0.5, 24))
+# HiGHS rejects a model with any matrix entry of this size or more (its
+# large_matrix_value).  The distortion weights are the only entries that
+# scale with the input, so ProblemInstance refuses weights this large.
+_HIGHS_MATRIX_LIMIT = 1e15
 
 
 def _load_highs():
@@ -172,6 +176,12 @@ class ProblemInstance:
         if self.classifier.alphabet != self.restore_alphabet:
             raise DimensionError(
                 f"classifier alphabet {self.classifier.alphabet} != restoration alphabet {self.restore_alphabet}"
+            )
+        largest = float(self.distortion_weights.max())
+        if not largest < _HIGHS_MATRIX_LIMIT:
+            raise InvalidDistributionError(
+                f"distortion costs too large: the largest distortion weight is {largest:.7g}, "
+                f"and the LP solver accepts only weights below {_HIGHS_MATRIX_LIMIT:g}"
             )
 
     @cached_property

@@ -115,6 +115,14 @@ class TestExitCodes:
         assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
         assert "restore_size" in capsys.readouterr().err
 
+    def test_distortion_costs_the_lp_solver_refuses_are_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"distortion": {"type": "matrix", "cost": [[0.0, 1e16], [1e16, 0.0]]}})
+        assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("config error: ") and "distortion costs" in line
+
     def test_audit_validates_config_before_running(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"degrade": {"type": "rows", "rows": [[0.9, 0.2], [0.1, 0.9]]}})
         assert main(["audit", "--config", cfg, "--trials", "1"]) == EXIT_CONFIG

@@ -1,5 +1,6 @@
 """Lattice oracle: enumeration counts, slack semantics, solver cross-checks."""
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -70,6 +71,25 @@ class TestSimplexLattice:
     def test_step_one_gives_vertices(self):
         pts = simplex_lattice(1.0, 3)
         assert_allclose(np.sort(pts, axis=0), np.sort(np.eye(3), axis=0))
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_rows_come_in_lexicographic_order(self, k):
+        for m in range(1, 13):
+            counts = sorted(c for c in itertools.product(range(m + 1), repeat=k) if sum(c) == m)
+            expected = np.array(counts, dtype=np.intp) / float(m)
+            got = simplex_lattice(1.0 / m, k)
+            assert (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+
+    @pytest.mark.parametrize("k", [0, -1, True, False, 2.0])
+    def test_k_must_be_an_integer_of_at_least_one(self, k):
+        with pytest.raises(ValueError, match="k must be"):
+            simplex_lattice(0.5, k)
+        with pytest.raises(ValueError, match="k must be"):
+            KernelGrid(step=0.5, n_outputs=2, n_restored=k).points_per_row
+
+    def test_numpy_integer_k_is_accepted(self):
+        assert simplex_lattice(0.5, np.int64(2)).tobytes() == simplex_lattice(0.5, 2).tobytes()
+        assert KernelGrid(step=0.5, n_outputs=2, n_restored=np.int32(3)).points_per_row == 6
 
 
 class TestKernelGrid:

@@ -27,6 +27,7 @@ from cdptradeoff import (
     DimensionError,
     DistortionMatrix,
     DivergenceKind,
+    InvalidDistributionError,
     MixtureSource,
     ProbVector,
     ProblemInstance,
@@ -165,6 +166,22 @@ class TestProblemInstance:
         cls = DecisionRegion.from_indices(a2, [0])
         with pytest.raises(DimensionError, match=f"distortion {side}"):
             ProblemInstance(canonical_source, Channel.bsc(0.1), a2, delta, TV, cls)
+
+    def test_rejects_distortion_weights_the_lp_solver_refuses(self, canonical_source):
+        # HiGHS refuses every matrix entry of 1e15 or more; the distortion
+        # weights are the LP's only entries that scale with the input.
+        a2 = canonical_source.alphabet
+        cls = DecisionRegion.from_indices(a2, [0])
+        p_x = canonical_source.marginal.mass
+        for weight, accepted in ((9.999995e14, True), (1e15, False), (1e16, False)):
+            delta = DistortionMatrix(a2, a2, weight / p_x[:, None] * (1.0 - np.eye(2)))
+            if accepted:
+                prob = ProblemInstance(canonical_source, Channel.identity(a2), a2, delta, TV, cls)
+                assert prob.distortion_weights.max() < 1e15
+                assert solve_cdp(prob, 1e14, 0.1).status == SolveStatus.OPTIMAL
+            else:
+                with pytest.raises(InvalidDistributionError, match="distortion costs too large.* below 1e\\+15"):
+                    ProblemInstance(canonical_source, Channel.identity(a2), a2, delta, TV, cls)
 
     def test_objective_weights_reproduce_error_rate(self, canonical_problem, rng):
         prob = canonical_problem()

@@ -1,7 +1,7 @@
 """Tooling that reaches into the library from outside: the benchmark's traced
-runs, the source boundaries that keep the lattice oracle independent and the
-audit free of formula copies, and the README's quickstart, certificate and
-audit paragraphs."""
+runs, the source boundaries that keep the lattice oracle independent, the
+audit free of formula copies and the package free of memo caches, and the
+README's quickstart, certificate and audit paragraphs."""
 
 import ast
 import importlib.util
@@ -13,8 +13,9 @@ from cdptradeoff import audit, solver
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
-ORACLE = ROOT / "src" / "cdptradeoff" / "oracle.py"
-AUDIT = ROOT / "src" / "cdptradeoff" / "audit.py"
+PACKAGE = ROOT / "src" / "cdptradeoff"
+ORACLE = PACKAGE / "oracle.py"
+AUDIT = PACKAGE / "audit.py"
 README = ROOT / "README.md"
 
 
@@ -56,6 +57,20 @@ def test_oracle_imports_no_solver_or_metrics_code():
     from_metrics = imported.get("metrics", set())
     assert not {name for name in from_metrics if name.startswith("_")}
     assert not from_metrics & {"divergence", "expected_distortion"}
+
+
+def test_no_library_function_is_memoized_across_calls():
+    # No result may depend on what an earlier call left behind, so no module
+    # of the package keeps a memo cache; a per-instance cached_property is fine.
+    cached = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    name = ast.unparse(decorator.func if isinstance(decorator, ast.Call) else decorator)
+                    if name.rsplit(".", 1)[-1] in {"lru_cache", "cache"}:
+                        cached.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not cached
 
 
 def test_audit_sums_nothing_of_its_own():
