@@ -45,7 +45,7 @@ from .audit import DEFAULT_SEED, DEFAULT_TRIALS, SURFACE_TRIALS, midpoint_excess
 from .classify import DecisionRegion, bayes_region
 from .errors import CdpError, ConfigError
 from .metrics import _KNOWN_KINDS, RENYI, DistortionMatrix, DivergenceKind
-from .prob_core import Alphabet, Channel, MixtureSource
+from .prob_core import Alphabet, Channel, MixtureSource, _is_integer
 from .solver import ProblemInstance, check_grid, sweep_surface
 
 EXIT_OK = 0
@@ -220,7 +220,7 @@ def build_instance(raw: dict) -> ProblemInstance:
     source = _get(raw, "", "source", _build_source)
     degrade = _get(raw, "", "degrade", partial(_build_degrade, source=source))
     restore_size = raw.get("restore_size", source.alphabet.size)
-    if not isinstance(restore_size, int) or isinstance(restore_size, bool) or restore_size < 1:
+    if not _is_integer(restore_size) or restore_size < 1:
         raise ConfigError("restore_size", f"expected a positive integer, got {restore_size!r}")
     restore = Alphabet(restore_size)
     delta = _get(raw, "", "distortion", partial(_build_distortion, source=source, restore=restore))
@@ -261,7 +261,7 @@ def load_config(path: str) -> RunConfig:
 
 def _check_seed(seed, field: str) -> int:
     """A seed is an unsigned 64-bit integer, from the config or from ``--seed``."""
-    if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2**64):
+    if not _is_integer(seed) or not (0 <= seed < 2**64):
         raise ConfigError(field, f"expected an unsigned 64-bit integer, got {seed!r}")
     return seed
 

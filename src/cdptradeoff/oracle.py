@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import SizeError
 from .metrics import HELLINGER, KULLBACK_LEIBLER, TOTAL_VARIATION, DivergenceKind
-from .prob_core import Channel
+from .prob_core import Channel, _is_integer
 from .solver import ProblemInstance, SolveStatus
 
 # Hard ceiling on lattice kernels examined by one grid search.
@@ -133,7 +133,7 @@ def _kernel_sums(head: np.ndarray, last: np.ndarray, heads: np.ndarray, digits: 
 def _row_count(m: int, k) -> int:
     """C(m + k - 1, k - 1), the number of length-k tuples of nonnegative integers
     summing to m; ``k`` must be an integer of at least 1 (a bool is not one)."""
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
+    if not _is_integer(k) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
     return math.comb(m + k - 1, k - 1)
 

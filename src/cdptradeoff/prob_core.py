@@ -40,6 +40,11 @@ DRIFT_TOLERANCE = 1e-9
 NEGATIVE_TOLERANCE = 1e-12
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a NumPy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _clean_mass(values, shape: tuple, what: str) -> np.ndarray:
     """Validate and renormalize nonnegative masses meant to sum to one along the last axis.
 
@@ -114,7 +119,7 @@ class Alphabet:
     size: int
 
     def __post_init__(self):
-        if not isinstance(self.size, (int, np.integer)) or isinstance(self.size, bool):
+        if not _is_integer(self.size):
             raise InvalidDistributionError(f"alphabet size must be an integer, got {self.size!r}")
         if self.size < 1:
             raise InvalidDistributionError(f"alphabet size must be >= 1, got {self.size}")
@@ -129,7 +134,7 @@ class Alphabet:
 
         The error reads ``{what} {symbol}{where} of size {size}``.
         """
-        if not isinstance(symbol, (int, np.integer)) or isinstance(symbol, bool):
+        if not _is_integer(symbol):
             raise DimensionError(f"{what} {symbol!r} is not an integer")
         if not 0 <= symbol < self.size:
             raise DimensionError(f"{what} {symbol}{where} of size {self.size}")

@@ -24,7 +24,7 @@ certified to a duality gap under the smooth divergences.
 Every linear program goes to HiGHS through the bindings scipy bundles
 (``scipy.optimize._highspy._core``), loaded without the rest of
 ``scipy.optimize``, with presolve off because the programs are tiny
-(without cuts, at most 72 columns and 26 rows on alphabets of up to 8
+(without cuts, at most 72 columns and 18 rows on alphabets of up to 8
 symbols) and presolve costs more than it saves.
 
 Solvers are pure functions of their inputs: each thread solves its LPs on
@@ -401,15 +401,18 @@ def _lp_model(
     optimal vertices (a reordered model can pivot to a different one):
 
     1. the distortion row <G, K> <= D, when D is finite;
-    2. either the slack pairs (K^T p_Y)_j - s_j <= p_X[j] and
-       -(K^T p_Y)_j - s_j <= -p_X[j], one pair per symbol, and the
-       total-variation row 0.5 * sum_j s_j <= P; or one row
+    2. either one row (K^T p_Y)_j - s_j <= p_X[j] per restored symbol and
+       the total-variation row sum_j s_j <= P; or one row
        g_i . K^T p_Y - t <= h_i per cut of ``cuts = (g, h)``, divided by
        max(1, max |g_i|) to keep steep cuts scaled;
     3. the stochastic rows sum_j K[y, j] = 1.
 
-    At P = 0 the total-variation row pins the restored marginal to p_X, the
-    only point where any supported divergence vanishes.
+    The symbol rows state the total-variation budget exactly: q = K^T p_Y and
+    p_X both sum to 1, so 0.5 * sum_j |q_j - p_X[j]| = sum_j (q_j - p_X[j])^+,
+    and the smallest slacks the rows allow, s_j = (q_j - p_X[j])^+, sum to it.
+    At P = 0 the total-variation row forces every s_j to 0, so q <= p_X entry
+    by entry, and as both sum to 1, q = p_X: the restored marginal is pinned
+    to p_X, the only point where any supported divergence vanishes.
     """
     ny, nxh = prob.kernel_shape
     nk = ny * nxh
@@ -429,14 +432,10 @@ def _lp_model(
         _, K, upper = rows(1)
         K[0], upper[0] = prob.distortion_weights, dist_budget
     if has_p:
-        A, K, upper = rows(2 * nxh + 1)
-        # Rows 2j and 2j + 1, of sign +1 and -1, are symbol j's pair:
-        # sign * (K^T p_Y)_j - s_j <= sign * p_X[j].
-        sign, j = np.array([1.0, -1.0]), np.arange(nxh)
-        K[:-1].reshape(nxh, 2, ny, nxh)[j, :, :, j] = np.outer(sign, prob.p_y)
-        A[:-1, nk:].reshape(nxh, 2, nxh)[j, :, j] = -1.0
-        upper[:-1] = np.outer(prob.p_x, sign).ravel()
-        A[-1, nk:], upper[-1] = 0.5, perc_budget
+        A, K, upper = rows(nxh + 1)
+        j = np.arange(nxh)  # row j: (K^T p_Y)_j - s_j <= p_X[j]
+        K[j, :, j], A[j, nk + j], upper[:-1] = prob.p_y, -1.0, prob.p_x
+        A[-1, nk:], upper[-1] = 1.0, perc_budget
     if m:
         slopes, offsets = cuts
         scale = np.maximum(np.abs(slopes).max(axis=1), 1.0)

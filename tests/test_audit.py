@@ -327,7 +327,7 @@ class TestFrozenAuditOutputs:
 
     DIGESTS = {
         0: "3e6de9f55c20d348e8a8ebaf7fedd12d5a973005c4e0621678bb8fcffbb4aefb",
-        1: "db79694c01958621b6898213893353aeed49f8bc3b7e341fe25cf31f1075cf36",
+        1: "83c722a55041640403e9220a527a6d945fdc92f9164ba86464758306dd231315",
     }
 
     @pytest.mark.parametrize("seed", sorted(DIGESTS))
@@ -344,8 +344,8 @@ class TestFrozenTrialViolations:
     """
 
     DIGESTS = {
-        0: "1d1c42ffc5bd766d9005aa7927ca5a15070c0b367f027f558c3748d268734aac",
-        1: "553b28fe48d978b0d42a29ec02fa42daa7d650ad83ff8930eba35a8e0fd05899",
+        0: "0505eccfdf16df5ce09ad7e7fed4d6223f64d64f8ba6476774ac7ab8818c0614",
+        1: "123b578b097219734562cd6bc860bd7ed917cb513cb8d0c4d8a4a81413339289",
     }
 
     @pytest.mark.parametrize("seed", sorted(DIGESTS))

@@ -382,11 +382,11 @@ class TestFrozenCliOutputs:
     """
 
     DIGESTS = {
-        ("canonical", "csv"): "c1aa112d866ffc277dda471ed69e8f5c74a2d9f4fadde98e3a3f3f3deec00bfc",
+        ("canonical", "csv"): "c5feab3aa2a816bf2419ec57c1c61a977ca81a532c92beb70b65a294a2ce0068",
         ("canonical", "kernels"): "1a1ced94eb431f4623887a1d6535bc242e0c8731c1feb9e18ad9c24b42a2f786",
         ("canonical", "probe"): "93b135189c8c41ded11c8120b5a5ba53b1ef7349f47ae819e004f60356858a53",
-        ("binary_break", "csv"): "3c68be6d96e1bc57e3daae7cbabe76dff320290aa3ab836d41ee05f2c5db5e3d",
-        ("binary_break", "kernels"): "f776714c4568179a33f33481c86341a268f6038b96b9e60f87af284fc1cae05a",
+        ("binary_break", "csv"): "f68129bbb2048d49c7c0c943b4d4e7931a6e1504c0d4a1234bf1acf6c38f7731",
+        ("binary_break", "kernels"): "6c25b9b6fbeccf96b1303ac340a78229583b1b7166f2af813a10007c202fd874",
         ("binary_break", "probe"): "74a102488f4210d5bef159b8437223405adffab3d9ab9953c081810c176ad3f0",
     }
 

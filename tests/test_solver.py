@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import importlib.machinery
+import json
 import math
 import os
 import pathlib
@@ -45,6 +46,7 @@ from cdptradeoff import (
 )
 from cdptradeoff import audit, solver
 from cdptradeoff.solver import BUDGET_SLACK, GENERAL_GAP_TOL
+from conftest import FIXTURE_DIR
 
 TV = DivergenceKind.total_variation()
 KL = DivergenceKind.kullback_leibler()
@@ -344,11 +346,11 @@ class TestSolveCdp:
         precheck |= {"violated": "distortion", "notes": "distortion budget below min_distortion(prob)"}
         vertex = {"method": "vertex", "iterations": 0, "lp_solves": 0, "cuts": 0, "duality_gap": 0.0}
         vertex |= {"violated": None, "notes": "unconstrained: per-output-symbol minimization"}
-        lp = {"method": "lp", "iterations": 3, "lp_solves": 1, "cuts": 0, "duality_gap": 0.0, "violated": None}
+        lp = {"method": "lp", "iterations": 2, "lp_solves": 1, "cuts": 0, "duality_gap": 0.0, "violated": None}
         lp |= {"notes": "one linear program, solved by HiGHS"}
-        cuts = {"method": "cuts", "iterations": 8, "lp_solves": 2, "cuts": 0, "duality_gap": 0.0, "violated": None}
+        cuts = {"method": "cuts", "iterations": 7, "lp_solves": 2, "cuts": 0, "duality_gap": 0.0, "violated": None}
         cuts |= {"notes": "LP plus tangent cuts of the divergence", "anchor": "pinned"}
-        regions = {"method": "regions", "iterations": 3, "lp_solves": 1, "cuts": 0, "duality_gap": 0.0}
+        regions = {"method": "regions", "iterations": 2, "lp_solves": 1, "cuts": 0, "duality_gap": 0.0}
         regions |= {"violated": None, "notes": "minimum of the fixed-classifier solve over decision regions"}
         regions |= {"regions_solved": 1, "regions_pruned": 3, "enumerated": 4}
         tv, kl = canonical_problem(), canonical_problem(kind=KL, classifier_indices=(1,))
@@ -497,8 +499,8 @@ class TestSolveScdp:
         # The best kernel attains the degraded Bayes error, which is the bound
         # of every nontrivial region, but its own Bayes error rounds 5.6e-17
         # above it.  An exact comparison solves all 2^3 - 2 nontrivial regions.
-        src = MixtureSource.from_masses(0.4, 0.6, np.array([2, 7, 9]) / 18, np.array([1, 6, 1]) / 8)
-        deg = Channel.from_rows([np.array([3, 2, 5]) / 10, np.array([1, 4, 2]) / 7, np.array([4, 3, 6]) / 13])
+        src = MixtureSource.from_masses(0.5, 0.5, np.array([9, 9, 3]) / 21, np.array([5, 7, 3]) / 15)
+        deg = Channel.from_rows([np.array([2, 2, 4]) / 8, np.array([4, 6, 3]) / 13, np.array([4, 5, 6]) / 15])
         cls = DecisionRegion.from_indices(src.alphabet, [0])
         prob = ProblemInstance(src, deg, src.alphabet, DistortionMatrix.hamming(src.alphabet), TV, cls)
         r = solve_scdp(prob, 0.91, 0.02)
@@ -585,7 +587,7 @@ class TestFrozenStrongSolves:
     which regions are visited and where the visit stops show in the counters,
     the gap and the kernel."""
 
-    DIGEST = "d3181478db4669db468276c5cbf0519af658bfd8bd29dcc04899fcee626568c7"
+    DIGEST = "0e7d8e48d8f7fa2fdf9ae2ad40ec1380ebd79041977c0b0131ab7ffa2e0a99ac"
 
     def test_cells_are_unchanged(self):
         h = hashlib.sha256()
@@ -603,6 +605,35 @@ class TestFrozenStrongSolves:
             weights = prob.class_weights  # (w_in, w_out)
             shared = np.add.reduce(np.minimum(*weights))
             assert np.add.reduce(weights[tied]) == shared < np.add.reduce(weights[1 - tied])
+
+
+class TestValueTable:
+    """The status and value of every cell of the canonical 6x6 sweep, in both
+    modes, and of every strong cell, as recorded in
+    ``tests/fixtures/value_table.json``.  Unlike the byte digests, the table
+    still holds when a change of the LP moves a cell to another optimal
+    kernel: values agree within 1e-12 under total variation, and within the
+    cell's duality gap plus 1e-12 under the smooth divergences."""
+
+    def test_statuses_and_values_hold(self, canonical_problem):
+        prob = canonical_problem()
+        got = {
+            f"canonical_{which}": [(prob, r) for row in sweep_surface(prob, D_GRID, P_GRID, which).cells for r in row]
+            for which in ("cdp", "scdp")
+        }
+        got["strong_cells"] = [(p, solve_scdp(p, D, P)) for p, D, P in strong_cells()]
+        table = json.loads((FIXTURE_DIR / "value_table.json").read_text(encoding="utf-8"))
+        assert list(got) == list(table)
+        for name, cells in got.items():
+            assert len(cells) == len(table[name])
+            for k, ((p, r), (status, value)) in enumerate(zip(cells, table[name])):
+                assert r.status.value == status, (name, k)
+                if math.isnan(float(value)):
+                    assert math.isnan(r.value), (name, k)
+                    continue
+                slack = 1e-12 if p.divergence == TV else r.certificate["duality_gap"] + 1e-12
+                assert abs(r.value - float(value)) <= slack, (name, k, r.value, value)
+        assert {p.divergence.name for p, _ in got["strong_cells"]} == {TV.name, KL.name}
 
 
 class TestSweepSurface:
@@ -802,12 +833,68 @@ class TestLpPaths:
             if x is not None:
                 assert abs(model.c @ x - ref.fun) <= 1e-12
 
+    def test_total_variation_rows_match_the_two_sided_reference(self, rng):
+        # The reference states the total-variation budget as the two-sided
+        # program, a pair of rows +-(K^T p_Y)_j - s_j <= +-p_X[j] per symbol
+        # and 0.5 * sum_j s_j <= P, with slacks bounded below only, writes it
+        # densely from W, G, p_Y and p_X, and solves it through
+        # scipy.optimize.linprog; the solver's one row per symbol must reach
+        # the same optimum, and be infeasible exactly where it is.
+        from scipy.optimize import linprog
+
+        covered = set()
+        for prob, D, P in self.cells(rng):
+            if prob.divergence != TV:
+                continue
+            ny, nxh = prob.kernel_shape
+            nk = ny * nxh
+            n = nk + (nxh if math.isfinite(P) else 0)
+            marginal = np.zeros((nxh, n))  # marginal @ x = K^T p_Y
+            for j in range(nxh):
+                marginal[j, j:nk:nxh] = prob.p_y
+            A_ub, b_ub = [], []
+            if math.isfinite(D):
+                A_ub.append(np.append(prob.distortion_weights.ravel(), np.zeros(n - nk)))
+                b_ub.append(D)
+            if math.isfinite(P):
+                slack = np.hstack((np.zeros((nxh, nk)), np.eye(nxh)))
+                for sign in (1.0, -1.0):
+                    A_ub += list(sign * marginal - slack)
+                    b_ub += list(sign * prob.p_x)
+                A_ub.append(0.5 * slack.sum(axis=0))
+                b_ub.append(P)
+            ref = linprog(
+                np.append(prob.objective_weights.ravel(), np.zeros(n - nk)),
+                A_ub=np.array(A_ub) if A_ub else None,
+                b_ub=np.array(b_ub) if b_ub else None,
+                A_eq=np.kron(np.eye(ny), np.ones((1, nxh))) @ np.eye(nk, n),
+                b_eq=np.ones(ny),
+                bounds=(0.0, None),
+                method="highs",
+                options={**solver._HIGHS_OPTIONS, "presolve": False},
+            )
+            assert ref.status in (0, 2), ref.message
+            r = solve_cdp(prob, D, P)
+            assert r.ok == (ref.status == 0), (D, P)
+            if r.ok:
+                assert abs(r.value - ref.fun) <= 1e-12, (D, P)
+            covered |= {
+                "P = 0" if P == 0.0 and r.ok else None,
+                "rectangular" if ny != nxh else None,
+                "D at min_distortion" if D == min_distortion(prob) and math.isfinite(P) else None,
+                "infeasible" if not r.ok else None,
+                "perception infeasible" if r.certificate["violated"] == "perception" else None,
+            }
+        wanted = {"P = 0", "rectangular", "D at min_distortion", "infeasible", "perception infeasible"}
+        assert covered - {None} == wanted
+
     def test_lp_model_writes_the_documented_rows(self, rng, monkeypatch):
         # Each model, expanded to a dense matrix, is exactly the LP that the
         # reference below writes entry by entry from G, p_Y, p_X, the cuts and
-        # the budgets: the distortion row when D is finite; the slack pairs and
-        # the total-variation row when P is finite and there are no cuts, or one
-        # scaled row per cut against the epigraph column; the stochastic rows.
+        # the budgets: the distortion row when D is finite; one slack row per
+        # restored symbol and the total-variation row when P is finite and there
+        # are no cuts, or one scaled row per cut against the epigraph column; the
+        # stochastic rows.
         calls = []
         lp_model = solver._lp_model
 
@@ -835,8 +922,7 @@ class TestLpPaths:
                 for j in range(nxh):
                     column = {c: p_y[y] for c, (y, k) in enumerate(kernel) if k == j}
                     rows.append(({**column, nk + j: -1.0}, -math.inf, p_x[j]))
-                    rows.append(({**{c: -v for c, v in column.items()}, nk + j: -1.0}, -math.inf, -p_x[j]))
-                rows.append(({nk + j: 0.5 for j in range(nxh)}, -math.inf, P))
+                rows.append(({nk + j: 1.0 for j in range(nxh)}, -math.inf, P))
             for g, h in zip(slopes, offsets):
                 scale = max(1.0, *(abs(v) for v in g))
                 row = {c: p_y[y] * (g[j] / scale) for c, (y, j) in enumerate(kernel)}

@@ -1,7 +1,8 @@
 """Tooling that reaches into the library from outside: the benchmark's traced
 runs, the source boundaries that keep the lattice oracle independent, the
-audit free of formula copies and the package free of memo caches, and the
-README's quickstart, certificate and audit paragraphs."""
+audit free of formula copies and the package free of memo caches, the LP
+size the solver's docstring states, and the README's quickstart, certificate
+and audit paragraphs."""
 
 import ast
 import importlib.util
@@ -9,7 +10,18 @@ import math
 import pathlib
 import re
 
-from cdptradeoff import audit, solver
+import numpy as np
+
+from cdptradeoff import (
+    Channel,
+    DecisionRegion,
+    DistortionMatrix,
+    DivergenceKind,
+    MixtureSource,
+    ProblemInstance,
+    audit,
+    solver,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -80,6 +92,24 @@ def test_audit_sums_nothing_of_its_own():
     calls = [node for node in ast.walk(ast.parse(AUDIT.read_text(encoding="utf-8"))) if isinstance(node, ast.Call)]
     sums = [ast.unparse(call) for call in calls if re.search(r"(\badd\.reduce|\bsum)$", ast.unparse(call.func))]
     assert not sums
+
+
+def test_solver_docstring_states_the_lp_size():
+    # The solver's module docstring gives the size of its largest LP without
+    # cuts, D and P both finite, on the largest alphabets it names; build that
+    # LP through _lp_model and count its columns and rows.
+    text = " ".join(solver.__doc__.split())
+    stated = re.search(r"at most (\d+) columns and (\d+) rows on alphabets of up to (\d+) symbols", text)
+    assert stated, text
+    columns, rows, n = map(int, stated.groups())
+    rng = np.random.default_rng(0)
+    src = MixtureSource.from_masses(0.5, 0.5, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n)))
+    deg = Channel.from_rows(rng.dirichlet(np.ones(n), size=n))
+    delta = DistortionMatrix.hamming(src.alphabet)
+    cls = DecisionRegion.from_indices(src.alphabet, [0])
+    prob = ProblemInstance(src, deg, src.alphabet, delta, DivergenceKind.total_variation(), cls)
+    model = solver._lp_model(prob, prob.objective_weights, solver.min_distortion(prob) + 0.1, 0.1)
+    assert (len(model.c), len(model.row_lower)) == (columns, rows)
 
 
 def test_readme_quickstart_runs(capsys):
