@@ -272,11 +272,8 @@ def _check_seed(seed, field: str) -> int:
 
 
 def _fmt_float(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return ""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(float(x), ".17g")
+    """``x`` to 17 significant digits, ``inf`` as "inf" and NaN as an empty field."""
+    return "" if math.isnan(x) else format(x, ".17g")
 
 
 def _cells(tables):

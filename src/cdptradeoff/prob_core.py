@@ -93,23 +93,19 @@ def _clean_mass(values, shape: tuple, what: str) -> np.ndarray:
 
 
 def _masked_sum(values: np.ndarray, mask: np.ndarray):
-    """``np.add.reduce(row[row_mask])`` for each row along the last axis, to the byte.
+    """The sum of the entries ``mask`` selects, for each row along the last axis.
 
-    One row takes the plain boolean index.  A stack gathers its rows by how
-    many entries they select, so each adds its entries in the one-row order,
-    pairwise from 8 entries on; a row that selects nothing sums to 0.0.
+    The entries left out are replaced by zeros in a fresh C-contiguous array,
+    which is then reduced along its rows, so a row of a stack, of any width
+    and in any layout, gives the same bytes it gives alone; a row that
+    selects nothing sums to 0.0.  Adding 0.0 is exact, so up to 7 entries
+    this is the sum of the selected entries alone, ``np.add.reduce(row[row_mask])``;
+    from 8 entries on NumPy adds a row pairwise, and the zeros take part in
+    the pairing, so the last bit may differ from that sum.
     """
-    if values.ndim == 1:
-        return np.add.reduce(values[mask])
-    counts = np.count_nonzero(mask, axis=-1)
-    out = np.zeros(values.shape[:-1])
-    # The counts present, from a bincount: ``np.unique`` would import numpy.ma
-    # and its megabyte of memory.
-    for k in np.flatnonzero(np.bincount(counts.ravel())).tolist():
-        if k:
-            rows = counts == k
-            out[rows] = np.add.reduce(values[rows][mask[rows]].reshape(-1, k), axis=-1)
-    return out
+    filled = np.zeros(values.shape)
+    np.copyto(filled, values, where=mask)
+    return np.add.reduce(filled, axis=-1)
 
 
 @dataclass(frozen=True)

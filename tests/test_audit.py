@@ -252,12 +252,38 @@ class TestStackedArithmetic:
         mask = rng.random((self.ROWS, n)) < rng.random((self.ROWS, 1))
         mask[::9] = False
         stacked = _masked_sum(values, mask)
-        assert self._same(stacked, [np.add.reduce(v[m]) for v, m in zip(values, mask)])
-        # The one-row path, a plain boolean index, gives each row's bytes too,
-        # and a deeper stack gives the same rows along its last axis.
+        # Each row is its zero-filled copy, reduced alone.  Up to 7 entries
+        # that is the sum of the selected entries alone; from 8 on NumPy adds
+        # pairwise and the zeros take part in the pairing.
+        assert self._same(stacked, [np.add.reduce(np.where(m, v, 0.0)) for v, m in zip(values, mask)])
+        if n <= 7:
+            assert self._same(stacked, [np.add.reduce(v[m]) for v, m in zip(values, mask)])
+        # One row alone, a deeper stack, a Fortran-ordered stack and a strided
+        # slice, like ``_blended_pair``'s ``c[:, 0]``, give each row's bytes too.
         assert self._same(stacked, [_masked_sum(v, m) for v, m in zip(values, mask)])
         assert self._same(_masked_sum(values.reshape(8, 25, n), mask.reshape(8, 25, n)), stacked.reshape(8, 25))
+        assert self._same(_masked_sum(np.asfortranarray(values), np.asfortranarray(mask)), stacked)
+        assert self._same(_masked_sum(np.stack([values, -values], axis=1)[:, 0], mask), stacked)
         assert _masked_sum(values[0], np.zeros(n, dtype=bool)) == 0.0
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_error_rate_stack_in_every_layout(self, n):
+        # From 8 symbols on a row's error rate depends on the summation order,
+        # so each layout of the stack must still give the one-row bytes.
+        rng = np.random.default_rng([29, n])
+        prior1 = rng.uniform(0.05, 0.95, self.ROWS)
+        raw = _masses_with_zeros(rng, (self.ROWS, 2, n))
+        inside = rng.random((self.ROWS, n)) < 0.5
+        p1, p2 = audit._priors(prior1)
+        masses = audit._simplex(raw)
+        c = audit._clean(masses)
+        one_row = [
+            error_rate(audit._mixture(prior1[i], *masses[i]), DecisionRegion(Alphabet(n), inside[i]))
+            for i in range(self.ROWS)
+        ]
+        assert self._same(_error_rate_arrays(p1, p2, c[:, 0], c[:, 1], inside), one_row)
+        f1, f2, fin = (np.asfortranarray(a) for a in (c[:, 0], c[:, 1], inside))
+        assert self._same(_error_rate_arrays(p1, p2, f1, f2, fin), one_row)
 
     @pytest.mark.parametrize("n", range(1, 13))
     @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Fixed-classifier error rates, Bayes error, and the data-processing property."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from cdptradeoff import (
     DimensionError,
     InvalidDistributionError,
     MixtureSource,
+    RegionPartition,
     bayes_error,
     bayes_error_tv_form,
     bayes_region,
@@ -75,6 +78,12 @@ class TestDecisionRegion:
         # Each of these was once cast to a boolean mask and accepted.
         with pytest.raises(InvalidDistributionError, match=named):
             DecisionRegion(Alphabet(3), members)
+
+    @pytest.mark.parametrize("members", [[True, False, True], [[True, False]]])
+    def test_members_must_match_the_alphabet(self, members):
+        shape = re.escape(str(np.shape(members)))
+        with pytest.raises(DimensionError, match=rf"^region indicator: expected shape \(2,\), got {shape}$"):
+            DecisionRegion(Alphabet(2), members)
 
     def test_zero_one_members_read_as_booleans(self):
         assert DecisionRegion(Alphabet(3), [1, 0, 1.0]).indices == (0, 2)
@@ -171,6 +180,19 @@ class TestRegionPartition:
         loose = region_partition(src, tie_tolerance=0.05)
         assert loose.zero.indices == (0, 1)
 
+    def test_parts_must_share_one_alphabet(self):
+        a2, a3 = Alphabet(2), Alphabet(3)
+        parts = (DecisionRegion.full(a2), DecisionRegion.empty(a3), DecisionRegion.empty(a2))
+        with pytest.raises(DimensionError, match="^partition parts must share one alphabet$"):
+            RegionPartition(*parts)
+
+    @pytest.mark.parametrize("zero", [[True, False], [False, False]], ids=["overlap", "gap"])
+    def test_parts_must_be_disjoint_and_cover(self, zero):
+        a2 = Alphabet(2)
+        parts = (DecisionRegion(a2, [True, False]), DecisionRegion(a2, [False, False]), DecisionRegion(a2, zero))
+        with pytest.raises(InvalidDistributionError, match="^partition parts must be disjoint and cover the alphabet$"):
+            RegionPartition(*parts)
+
 
 class TestDataProcessing:
     def test_bayes_error_never_decreases(self, rng):
@@ -201,6 +223,11 @@ class TestDataProcessing:
         ch = Channel.deterministic(skewed_source.alphabet, Alphabet(1), [0, 0])
         assert not dpi_equality_holds(skewed_source, ch)
         assert bayes_error(push_forward(skewed_source, ch)) == pytest.approx(0.5)
+
+    def test_equality_predicate_rejects_a_channel_on_another_alphabet(self, skewed_source):
+        ch = Channel.identity(Alphabet(3))
+        with pytest.raises(DimensionError, match=r"^source alphabet .*size=2.* != channel input .*size=3"):
+            dpi_equality_holds(skewed_source, ch)
 
     def test_equality_predicate_matches_measured_gap(self, rng):
         for _ in range(100):

@@ -109,6 +109,15 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"seed": -1})
         assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("raw", [[CANONICAL], "config", None])
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, capsys, raw):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: config: top level must be an object\n"
+
     def test_bool_restore_size_rejected_by_name(self, tmp_path, capsys):
         # JSON true is a Python int; it must not reach Alphabet as a size of 1.
         cfg = write_config(tmp_path, {"restore_size": True})

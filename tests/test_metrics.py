@@ -239,6 +239,21 @@ class TestExpectedDistortion:
             )
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "degrade, restore, delta_target, named",
+        [
+            (Channel.identity(A3), Channel.identity(A3), A3, r"^source alphabet .* != degradation input "),
+            (Channel.bsc(0.1), Channel.identity(A3), A3, r"^degradation output .* != restoration input "),
+            (Channel.bsc(0.1), Channel.identity(A2), A3, r"^distortion target alphabet .* != restoration output "),
+        ],
+        ids=["degradation input", "restoration input", "distortion target"],
+    )
+    def test_each_alphabet_mismatch_is_named(self, degrade, restore, delta_target, named):
+        src = MixtureSource.from_masses(0.5, 0.5, [0.8, 0.2], [0.2, 0.8])
+        delta = DistortionMatrix(A2, delta_target, np.ones((2, delta_target.size)))
+        with pytest.raises(DimensionError, match=named):
+            expected_distortion(src, degrade, restore, delta)
+
     def test_alphabet_mismatch_raises(self):
         src = MixtureSource.from_masses(0.5, 0.5, [0.8, 0.2], [0.2, 0.8])
         delta = DistortionMatrix.hamming(A3)

@@ -320,6 +320,11 @@ class TestChannel:
         b = Channel.from_rows([[0.9, 0.1], [0.3, 0.7]])
         assert_allclose(compose(a, b).matrix, a.matrix @ b.matrix)
 
+    @pytest.mark.parametrize("rows", [[0.5, 0.5], [[[1.0]]]])
+    def test_from_rows_rejects_rows_that_are_not_a_matrix(self, rows):
+        with pytest.raises(DimensionError, match=r"^channel rows must form a matrix, got ndim=[13]$"):
+            Channel.from_rows(rows)
+
     def test_compose_rejects_mismatched_alphabets(self):
         a = Channel.deterministic(Alphabet(2), Alphabet(3), [0, 2])
         with pytest.raises(DimensionError):
@@ -351,6 +356,13 @@ class TestMixtureSource:
         a2, a3 = Alphabet(2), Alphabet(3)
         with pytest.raises(DimensionError):
             MixtureSource(a2, 0.5, 0.5, ProbVector.uniform(a2), ProbVector.uniform(a3))
+
+    @pytest.mark.parametrize("name", ["class1", "class2"])
+    def test_rejects_a_class_that_is_not_a_prob_vector(self, name):
+        a2 = Alphabet(2)
+        classes = {"class1": ProbVector.uniform(a2), "class2": ProbVector.uniform(a2), name: np.array([0.5, 0.5])}
+        with pytest.raises(InvalidDistributionError, match=rf"^{name} must be a ProbVector$"):
+            MixtureSource(a2, 0.5, 0.5, **classes)
 
     def test_push_forward_classwise(self):
         src = MixtureSource.from_masses(0.4, 0.6, [0.8, 0.2], [0.1, 0.9])
@@ -385,6 +397,12 @@ class TestMixtureSource:
         u = MixtureSource.from_masses(0.5, 0.5, [1.0, 0.0], [0.0, 1.0])
         v = MixtureSource.from_masses(0.4, 0.6, [1.0, 0.0], [0.0, 1.0])
         with pytest.raises(InvalidMixtureError):
+            mix_mixtures(u, v, 0.5)
+
+    def test_mix_mixtures_rejects_different_alphabets(self):
+        u = MixtureSource.from_masses(0.5, 0.5, [1.0, 0.0], [0.0, 1.0])
+        v = MixtureSource.from_masses(0.5, 0.5, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+        with pytest.raises(InvalidMixtureError, match=r"^alphabets differ: Alphabet\(size=2\) vs Alphabet\(size=3\)$"):
             mix_mixtures(u, v, 0.5)
 
     def test_mix_mixtures_rejects_bad_lambda(self):

@@ -138,6 +138,40 @@ def stalling_highs(monkeypatch, fresh_highs):
     return install
 
 
+@pytest.fixture
+def scripted_highs(monkeypatch, fresh_highs):
+    """``install(passed, status)`` makes every HiGHS instance the solver builds
+    from then on solve as usual, but answer ``passModel`` with ``passed(run)``
+    and report ``status(run)`` as the model status of its run-th run, counted
+    from 0, wherever those give a status rather than None."""
+    highs = solver._highspy._Highs
+
+    def install(passed=lambda run: None, status=lambda run: None):
+        class Scripted:
+            def __init__(self):
+                self.highs, self.runs = highs(), 0
+
+            def __getattr__(self, name):
+                return getattr(self.highs, name)
+
+            def passModel(self, *args):
+                got = passed(self.runs)
+                return self.highs.passModel(*args) if got is None else got
+
+            def run(self):
+                self.runs += 1
+                return self.highs.run()
+
+            def getModelStatus(self):
+                got = status(self.runs - 1)
+                return self.highs.getModelStatus() if got is None else got
+
+        vars(solver._local).pop("highs", None)
+        monkeypatch.setattr(solver._highspy, "_Highs", Scripted)
+
+    return install
+
+
 def cut_exit(result):
     """Which exit of the cut loop a smooth fixed-classifier result took."""
     if not result.ok:
@@ -368,11 +402,15 @@ class TestSolveCdp:
             assert items == list(want.items())
             assert [type(v) for _, v in items] == [type(v) for v in want.values()]
             assert cert == want and want == cert and cert != {**want, "notes": ""}
+            assert len(cert) == len(want)
+            assert repr(cert) == f"Certificate({want!r})"
             with pytest.raises(TypeError):
                 cert["method"] = "lp"
             for name in ("method", "extra"):
                 with pytest.raises(AttributeError):
                     setattr(cert, name, "lp")
+                with pytest.raises(AttributeError, match="^a certificate is read-only$"):
+                    delattr(cert, name)
             assert not hasattr(cert, "__dict__")
             assert sys.getsizeof(cert) < sys.getsizeof(want)
             for copied in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
@@ -421,6 +459,50 @@ class TestSolveCdp:
             for tight in (tight_d, tight_p):
                 if tight.status is SolveStatus.OPTIMAL and loose.status is SolveStatus.OPTIMAL:
                     assert tight.value >= loose.value - 1e-9
+
+
+class TestCutExits:
+    def test_no_anchor_within_the_round_cap(self, monkeypatch):
+        # The epigraph rounds look for a kernel inside the budget; allowed one
+        # round, this cell finds none and comes back uncertified, with no kernel.
+        monkeypatch.setattr(solver, "CUT_ROUNDS", 1)
+        prob = audit.random_instance(np.random.default_rng(1), DivergenceKind.hellinger())
+        D, P = min_distortion(prob) + 0.005, 0.01
+        r = solve_cdp(prob, D, P)
+        assert r.status is SolveStatus.ITERATION_LIMIT
+        assert r.kernel is None
+        assert all(math.isnan(x) for x in (r.value, r.achieved_distortion, r.achieved_perception))
+        cert = r.certificate
+        assert cert["method"] == "cuts"
+        assert cert["duality_gap"] is None and cert["anchor"] is None and cert["violated"] is None
+        assert cert["notes"] == "no anchor inside the budget in 1 rounds"
+        table = sweep_surface(prob, [D], [P], "cdp")
+        assert table.cells[0][0].status is SolveStatus.ITERATION_LIMIT
+        assert np.isnan(table.value_matrix()).all()
+
+    def test_a_cut_lp_reported_infeasible_keeps_the_best_feasible_kernel(self, scripted_highs):
+        # After the anchor the cut LPs only raise the lower bound.  When one is
+        # reported infeasible the rounds stop, and the cell keeps its best
+        # kernel inside the budget, with the status its gap so far gives.
+        prob = audit.random_instance(np.random.default_rng(0), DivergenceKind.hellinger())
+        D, P = min_distortion(prob) + 0.1, 0.01
+        want = solve_cdp(prob, D, P)
+        assert want.certificate["anchor"] == "pinned" and want.certificate["lp_solves"] > 3
+        # Run 0 is the LP without the perception budget, run 1 the P = 0 anchor
+        # and run 2 the first LP with cut rows.
+        infeasible = solver._highspy.HighsModelStatus.kInfeasible
+        scripted_highs(status=lambda run: infeasible if run == 2 else None)
+        got = solve_cdp(prob, D, P)
+        cert = got.certificate
+        assert cert["lp_solves"] == 3 and cert["anchor"] == "pinned"
+        assert got.kernel is not None
+        assert got.achieved_distortion <= D + BUDGET_SLACK
+        assert got.achieved_perception <= P + BUDGET_SLACK
+        gap = cert["duality_gap"]
+        assert (got.status is SolveStatus.OPTIMAL) == (gap <= GENERAL_GAP_TOL)
+        # Both cells bound the optimum within their gaps.
+        slack = want.certificate["duality_gap"] + 1e-12
+        assert got.value - gap - 1e-12 <= want.value <= got.value + slack
 
 
 class TestSolveScdp:
@@ -966,6 +1048,17 @@ class TestLpPaths:
             if got.ok:
                 slack = got.certificate["duality_gap"] + want.certificate["duality_gap"]
                 assert abs(got.value - want.value) <= slack + 1e-9
+
+    def test_a_model_highs_rejects_raises(self, canonical_problem, scripted_highs):
+        scripted_highs(passed=lambda run: solver._highspy.HighsStatus.kError)
+        with pytest.raises(RuntimeError, match="^HiGHS rejected the linear program$"):
+            solve_cdp(canonical_problem(), 0.2, 0.3)
+
+    def test_an_unexpected_model_status_raises_naming_it(self, canonical_problem, scripted_highs):
+        # The simplex and then the interior-point retry both report it.
+        scripted_highs(status=lambda run: solver._highspy.HighsModelStatus.kUnbounded)
+        with pytest.raises(RuntimeError, match=r"^linear program failed unexpectedly \(Unbounded\)$"):
+            solve_cdp(canonical_problem(), 0.2, 0.3)
 
     def test_retry_options_do_not_leak_into_later_lps(self, rng, stalling_highs):
         # The thread's one instance stalls on the first simplex attempt of each

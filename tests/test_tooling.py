@@ -1,8 +1,8 @@
 """Tooling that reaches into the library from outside: the benchmark's traced
 runs, the source boundaries that keep the lattice oracle independent, the
-audit free of formula copies and the package free of memo caches, the LP
-size the solver's docstring states, and the README's quickstart, certificate
-and audit paragraphs."""
+audit free of formula copies, masked sums in one place and the package free
+of memo caches, the LP size the solver's docstring states, and the README's
+quickstart, certificate and audit paragraphs."""
 
 import ast
 import importlib.util
@@ -92,6 +92,34 @@ def test_audit_sums_nothing_of_its_own():
     calls = [node for node in ast.walk(ast.parse(AUDIT.read_text(encoding="utf-8"))) if isinstance(node, ast.Call)]
     sums = [ast.unparse(call) for call in calls if re.search(r"(\badd\.reduce|\bsum)$", ast.unparse(call.func))]
     assert not sums
+
+
+def _index_is_literal(node) -> bool:
+    """Whether a subscript's index is made of slices and constants only."""
+    if isinstance(node, ast.Tuple):
+        return all(map(_index_is_literal, node.elts))
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, (ast.Slice, ast.Constant))
+
+
+def test_masked_sums_go_through_masked_sum_only():
+    # ``prob_core._masked_sum`` adds a row's selected entries with zeros in
+    # place of the rest, so a row of a stack sums as it does alone.  A sum over
+    # a gather, ``values[mask]``, adds them in another order from 8 entries
+    # on, so no module that computes the paper's quantities sums an array
+    # indexed by anything other than slices and constants.  The lattice oracle
+    # is the independent reference and keeps its own sums.
+    gathers = []
+    for name in ("classify.py", "metrics.py", "prob_core.py", "solver.py"):
+        for call in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))):
+            if not (isinstance(call, ast.Call) and re.search(r"(\badd\.reduce|\bsum)$", ast.unparse(call.func))):
+                continue
+            summed = [*call.args, *(k.value for k in call.keywords), call.func]
+            subscripts = [sub for node in summed for sub in ast.walk(node) if isinstance(sub, ast.Subscript)]
+            if not all(_index_is_literal(sub.slice) for sub in subscripts):
+                gathers.append(f"{name}:{call.lineno} {ast.unparse(call)}")
+    assert not gathers
 
 
 def test_solver_docstring_states_the_lp_size():
