@@ -183,8 +183,6 @@ def dpi_equality_holds(src: MixtureSource, ch: Channel) -> bool:
         raise DimensionError(f"source alphabet {src.alphabet} != channel input {ch.input}")
     parts = region_partition(src)
     plus, minus = parts.plus.members, parts.minus.members
-    if not plus.any() or not minus.any():
-        return True
     # Exact zero test: channel entries are stored values, not computed sums.
     fed_by_plus = (ch.matrix[plus, :] > 0.0).any(axis=0)
     fed_by_minus = (ch.matrix[minus, :] > 0.0).any(axis=0)

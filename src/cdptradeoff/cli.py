@@ -317,15 +317,15 @@ def _kernel_dump(tables) -> dict:
     }
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out is None or out == "-":
+def _emit(text: str, out: str) -> None:
+    if out == "-":
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
-def _emit_json(payload, out: Optional[str]) -> None:
+def _emit_json(payload, out: str) -> None:
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
 
 

@@ -15,12 +15,15 @@ Conventions, fixed here once for the whole package:
 - Renyi divergence of order ``alpha`` (0 < alpha < inf, alpha != 1) follows
   ``1/(alpha-1) * ln sum p^alpha q^(1-alpha)``.
 
-``+inf`` is a first-class value: KL and Renyi return it on support mismatch
-instead of raising, so constraint sweeps can treat unreachable budgets as
-structurally infeasible rather than crash.
+``+inf`` is a first-class value: KL, and Renyi above order 1, return it when
+q misses the support of p, instead of raising, so constraint sweeps can treat
+unreachable budgets as structurally infeasible rather than crash.  KL gets it
+from its own sum, whose term p * log(p / 0) is +inf; Renyi, whose log-sum-exp
+must leave the q = 0 terms out, from a support flag.
 
 ``divergence`` wraps the one array form, ``_divergence_arrays``, which works
-along the last axis: a float for one row, an array for a stack whose every
+along the last axis: a scalar for one row (a NumPy scalar, or a Python float
+for Renyi; ``divergence`` makes it a float), an array for a stack whose every
 row is the same bytes the row gives alone.
 """
 
@@ -80,37 +83,40 @@ class DivergenceKind:
 
 
 def _divergence_arrays(kind: DivergenceKind, p: np.ndarray, q: np.ndarray):
-    """Divergence between mass rows along the last axis; may be ``math.inf``.
+    """Divergence between mass rows along the last axis; may be ``+inf``.
 
-    KL and Renyi add only the entries they keep (``p > 0``; for Renyi also
-    ``q > 0``) with ``_masked_sum``, so a row of a stack sums as it would alone.
+    One row gives a scalar, a stack an array whose every row is the same
+    bytes the row gives alone.  KL and Renyi add only the entries they keep
+    (``p > 0``; for Renyi also ``q > 0``) with ``_masked_sum``.  KL's
+    ``+inf`` on a support mismatch comes from that sum itself: a kept term
+    with ``q = 0`` is ``p * log(p / 0) = +inf``, and no kept term of finite
+    masses is ``-inf`` or NaN.
     """
-    infinite = False
     if kind.name == TOTAL_VARIATION:
-        value = 0.5 * np.add.reduce(np.abs(p - q), axis=-1)
-    elif kind.name == HELLINGER:
-        value = 0.5 * np.add.reduce((np.sqrt(p) - np.sqrt(q)) ** 2, axis=-1)
-    else:
-        support = p > 0.0
-        # KL, and Renyi above order 1, are infinite where q is 0 on the support of p.
-        if kind.name == KULLBACK_LEIBLER or kind.alpha > 1.0:
-            infinite = (support & (q == 0.0)).any(axis=-1)
-        # Entries left out may divide by zero or take the log of 0; they are
-        # computed and then left out of every sum and maximum.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if kind.name == RENYI:
-                return _renyi(kind.alpha, p, q, support & (q > 0.0), infinite)
-            value = _masked_sum(p * np.log(p / q), support)
-    if p.ndim == 1:
-        return math.inf if infinite else float(value)
-    return np.where(infinite, math.inf, value)
+        return 0.5 * np.add.reduce(np.abs(p - q), axis=-1)
+    if kind.name == HELLINGER:
+        return 0.5 * np.add.reduce((np.sqrt(p) - np.sqrt(q)) ** 2, axis=-1)
+    support = p > 0.0
+    # Entries left out may divide by zero or take the log of 0; they are
+    # computed and then left out of every sum and maximum.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if kind.name == RENYI:
+            return _renyi(kind.alpha, p, q, support)
+        return _masked_sum(p * np.log(p / q), support)
 
 
-def _renyi(alpha: float, p: np.ndarray, q: np.ndarray, keep: np.ndarray, infinite):
+def _renyi(alpha: float, p: np.ndarray, q: np.ndarray, support: np.ndarray):
     """The Renyi rows of ``_divergence_arrays``: the log of sum p^alpha q^(1-alpha)
-    over the ``keep`` terms, by log-sum-exp, so that no power overflows at any
-    order.  The log of the sum is ``math.log`` per row: ``np.log`` can round
-    it differently."""
+    over the terms with p > 0 and q > 0, by log-sum-exp, so that no power
+    overflows at any order.  The log of the sum is ``math.log`` per row:
+    ``np.log`` can round it differently.  One row gives a Python float.
+
+    The q = 0 terms must stay out of the log-sum-exp, so unlike KL the sum
+    cannot carry the support mismatch: above order 1, where such a term is
+    +inf, a flag set from ``support`` makes the row infinite.
+    """
+    keep = support & (q > 0.0)
+    infinite = (support & (q == 0.0)).any(axis=-1) if alpha > 1.0 else False
     logs = alpha * np.log(p) + (1.0 - alpha) * np.log(q)
     top = logs.max(axis=-1, where=keep, initial=-math.inf, keepdims=True)
     total = _masked_sum(np.exp(logs - top), keep)
@@ -132,21 +138,17 @@ def _divergence_gradient(kind: DivergenceKind, p: np.ndarray, q: np.ndarray) -> 
 
     Only meaningful where the divergence is finite and differentiable; callers
     keep iterates away from support-mismatch boundaries.  ``q`` is floored at
-    a tiny positive value to avoid literal division by zero.
+    a tiny positive value to avoid literal division by zero, so a symbol with
+    ``p_j = 0`` gets the slope its quotient ``0 / q_j`` gives: 0, or -0.0 for KL.
     """
     qf = np.maximum(q, 1e-300)
     if kind.name == KULLBACK_LEIBLER:
-        grad = np.zeros_like(q)
-        support = p > 0.0
-        grad[support] = -p[support] / qf[support]
-        return grad
+        return -p / qf
     if kind.name == HELLINGER:
         return 0.5 * (1.0 - np.sqrt(p / qf))
     # -r / sum(r q) with r = (p/q)^alpha is unchanged by scaling r, so r is
     # taken relative to its largest term and cannot overflow.
-    ratio = np.zeros_like(q)
-    support = p > 0.0
-    ratio[support] = p[support] / qf[support]
+    ratio = p / qf
     ratio = (ratio / ratio.max()) ** kind.alpha
     return -ratio / float(np.sum(ratio * qf))
 
@@ -159,7 +161,7 @@ def divergence(kind: DivergenceKind, p: ProbVector, q: ProbVector) -> float:
     """
     if p.alphabet != q.alphabet:
         raise DimensionError(f"alphabets differ: {p.alphabet} vs {q.alphabet}")
-    return _divergence_arrays(kind, p.mass, q.mass)
+    return float(_divergence_arrays(kind, p.mass, q.mass))
 
 
 @dataclass(frozen=True, eq=False)

@@ -640,6 +640,7 @@ def _cut_minimize(
     # the cuts rate least divergent, so a whole face of optima does not leave
     # the rounds creeping toward the budget; the bound drops by at most a tenth.
     lp_cost = np.append(cost.ravel(), 0.1 * GENERAL_GAP_TOL / perc_budget)
+    notes = "LP plus tangent cuts of the divergence"
 
     for _ in range(CUT_ROUNDS):
         # Bisect for the first point from K toward the anchor inside the budget.
@@ -658,6 +659,8 @@ def _cut_minimize(
         engine.add_cuts(prob, cuts, q, boundary.T @ p_y)
         x, K = engine.kernel(prob, lp_cost, dist_budget, perc_budget, cuts)
         if K is None:
+            # The anchor meets every cut, so only a solver fault gets here.
+            notes += "; a cut LP after the anchor was reported infeasible"
             break
         q = K.T @ p_y
         lower = max(lower, float(np.sum(cost * K) + lp_cost[-1] * (x[-1] - perc_budget)))
@@ -666,7 +669,6 @@ def _cut_minimize(
             break
     gap = max(upper - lower, 0.0)
     status = SolveStatus.OPTIMAL if gap <= GENERAL_GAP_TOL else SolveStatus.ITERATION_LIMIT
-    notes = "LP plus tangent cuts of the divergence"
     return _outcome(engine, status, best, "cuts", notes, gap, anchor=anchor_kind)
 
 

@@ -84,6 +84,21 @@ class TestGenerators:
             gap = bayes_error(push_forward(src, ch)) - bayes_error(src)
             assert abs(gap) <= 1e-12
 
+    def test_equality_channel_spreads_a_tied_input_over_every_output(self):
+        # Symbol 2 ties exactly, P1 p1 = P2 p2, so the split family, which
+        # seed 0 takes, lets it feed the whole output alphabet while each
+        # strict symbol keeps to its own half.
+        src = MixtureSource.from_masses(0.5, 0.5, [0.6, 0.2, 0.2], [0.2, 0.6, 0.2])
+        assert region_partition(src).zero.indices == (2,)
+        assert np.random.default_rng(0).integers(0, 2) == 1
+        ch = equality_channel(np.random.default_rng(0), src)
+        rows = ch.matrix
+        assert rows.shape == (3, 6)
+        assert (rows[0, :3] > 0.0).all() and (rows[0, 3:] == 0.0).all()
+        assert (rows[1, :3] == 0.0).all() and (rows[1, 3:] > 0.0).all()
+        assert (rows[2] > 0.0).all()
+        assert dpi_equality_holds(src, ch)
+
     def test_bridging_pair_margins_and_gap(self, rng):
         for _ in range(60):
             src, ch = bridging_pair(rng)

@@ -51,6 +51,9 @@ class TestDecisionRegion:
         assert r.indices == (1, 3)
         assert list(r.members) == [False, True, False, True]
 
+    def test_repr_names_the_size_and_members(self):
+        assert repr(DecisionRegion.from_indices(Alphabet(4), [3, 1])) == "DecisionRegion(size=4, members={1, 3})"
+
     def test_complement(self):
         r = DecisionRegion.from_indices(Alphabet(3), [0])
         assert r.complement().indices == (1, 2)
@@ -217,6 +220,24 @@ class TestDataProcessing:
         ch = Channel.deterministic(src.alphabet, Alphabet(2), [0, 1, 1])
         assert dpi_equality_holds(src, ch)
         assert bayes_error(push_forward(src, ch)) == pytest.approx(bayes_error(src), abs=1e-15)
+
+    def test_equality_holds_with_an_empty_strict_side(self):
+        # P1 p1 > P2 p2 at every symbol: the minus side is empty, so no output
+        # is fed from both strict sides, whatever the channel.
+        src = MixtureSource.from_masses(0.7, 0.3, [0.5, 0.5], [0.2, 0.8])
+        parts = region_partition(src)
+        assert parts.plus.members.all() and not parts.minus.members.any()
+        ch = Channel.from_rows([[0.5, 0.5], [0.3, 0.7]])
+        assert dpi_equality_holds(src, ch)
+        assert bayes_error(push_forward(src, ch)) == pytest.approx(bayes_error(src), abs=1e-15)
+
+    def test_equality_holds_when_every_symbol_ties(self):
+        # Both strict sides are empty; even merging every symbol keeps the error.
+        src = MixtureSource.from_masses(0.5, 0.5, [0.3, 0.7], [0.3, 0.7])
+        assert region_partition(src).zero.members.all()
+        ch = Channel.deterministic(src.alphabet, Alphabet(1), [0, 0])
+        assert dpi_equality_holds(src, ch)
+        assert bayes_error(push_forward(src, ch)) == bayes_error(src) == 0.5
 
     def test_bridging_merge_strictly_hurts(self, skewed_source):
         # Collapsing everything to one symbol bridges the two strict sides.

@@ -4,10 +4,15 @@ import csv
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cdptradeoff
 from cdptradeoff import Channel, DivergenceKind, error_rate, push_forward
 from cdptradeoff.cli import (
     EXIT_AUDIT_FAIL,
@@ -280,6 +285,18 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", "-"]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.out.startswith("mode,D,P,value")
+
+    def test_the_package_runs_as_the_cli(self):
+        # ``python -m cdptradeoff`` is the same program as ``python -m cdptradeoff.cli``.
+        cfg = str(FIXTURE_DIR / "canonical.json")
+        src_dir = str(pathlib.Path(cdptradeoff.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+        package, module = (
+            subprocess.run([sys.executable, "-m", name, "sweep", "--config", cfg], capture_output=True, env=env, check=True)
+            for name in ("cdptradeoff", "cdptradeoff.cli")
+        )
+        assert package.stdout.startswith(b"mode,D,P,value")
+        assert package.stdout == module.stdout
 
 
 class TestAudit:

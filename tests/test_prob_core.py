@@ -160,6 +160,9 @@ class TestAlphabet:
 
 
 class TestProbVector:
+    def test_repr_names_the_size_and_mass(self):
+        assert repr(ProbVector(Alphabet(3), [0.25, 0.125, 0.625])) == "ProbVector(size=3, mass=[0.25  0.125 0.625])"
+
     def test_uniform_and_point_mass(self):
         a = Alphabet(4)
         assert_allclose(ProbVector.uniform(a).mass, 0.25)
@@ -201,6 +204,9 @@ class TestProbVector:
 
 
 class TestChannel:
+    def test_repr_names_the_alphabet_sizes(self):
+        assert repr(Channel.from_rows([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0]])) == "Channel(2->3)"
+
     def test_identity(self):
         ch = Channel.identity(Alphabet(3))
         assert_allclose(ch.matrix, np.eye(3))
@@ -332,6 +338,10 @@ class TestChannel:
 
 
 class TestMixtureSource:
+    def test_repr_names_the_size_and_priors(self):
+        src = MixtureSource.from_masses(0.3, 0.7, [0.9, 0.1], [0.2, 0.8])
+        assert repr(src) == "MixtureSource(size=2, priors=(0.3, 0.7))"
+
     def test_from_masses_builds_marginal(self):
         src = MixtureSource.from_masses(0.3, 0.7, [0.9, 0.1], [0.2, 0.8])
         assert_allclose(src.marginal.mass, [0.3 * 0.9 + 0.7 * 0.2, 0.3 * 0.1 + 0.7 * 0.8])

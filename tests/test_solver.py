@@ -45,6 +45,7 @@ from cdptradeoff import (
     sweep_surface,
 )
 from cdptradeoff import audit, solver
+from cdptradeoff.metrics import _divergence_gradient
 from cdptradeoff.solver import BUDGET_SLACK, GENERAL_GAP_TOL
 from conftest import FIXTURE_DIR
 
@@ -413,6 +414,13 @@ class TestSolveCdp:
                     delattr(cert, name)
             assert not hasattr(cert, "__dict__")
             assert sys.getsizeof(cert) < sys.getsizeof(want)
+            # A key the method does not own is missing, as in the dict;
+            # perfbench's digest reads ``branch`` through ``get``.
+            for name in ("branch", "anchor", "enumerated"):
+                if name not in want:
+                    assert name not in cert and cert.get(name) is None
+                    with pytest.raises(KeyError, match=name):
+                        cert[name]
             for copied in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
                 assert type(copied.certificate) is type(cert) and copied.certificate == cert
                 assert cell_bytes(copied) == cell_bytes(r) and copied.status is r.status
@@ -488,6 +496,7 @@ class TestCutExits:
         D, P = min_distortion(prob) + 0.1, 0.01
         want = solve_cdp(prob, D, P)
         assert want.certificate["anchor"] == "pinned" and want.certificate["lp_solves"] > 3
+        assert want.certificate["notes"] == "LP plus tangent cuts of the divergence"
         # Run 0 is the LP without the perception budget, run 1 the P = 0 anchor
         # and run 2 the first LP with cut rows.
         infeasible = solver._highspy.HighsModelStatus.kInfeasible
@@ -495,6 +504,8 @@ class TestCutExits:
         got = solve_cdp(prob, D, P)
         cert = got.certificate
         assert cert["lp_solves"] == 3 and cert["anchor"] == "pinned"
+        # The anchor meets every cut, so the certificate names the solver fault.
+        assert cert["notes"] == "LP plus tangent cuts of the divergence; a cut LP after the anchor was reported infeasible"
         assert got.kernel is not None
         assert got.achieved_distortion <= D + BUDGET_SLACK
         assert got.achieved_perception <= P + BUDGET_SLACK
@@ -503,6 +514,61 @@ class TestCutExits:
         # Both cells bound the optimum within their gaps.
         slack = want.certificate["duality_gap"] + 1e-12
         assert got.value - gap - 1e-12 <= want.value <= got.value + slack
+
+
+def masked_slopes(kind, p, q):
+    """The smooth slopes with their p_j = 0 entries zeroed by a support mask
+    rather than left to the quotient 0 / q_j."""
+    qf = np.maximum(q, 1e-300)
+    support = p > 0.0
+    out = np.zeros_like(q)
+    if kind.name == KL.name:
+        out[support] = -p[support] / qf[support]
+        return out
+    out[support] = p[support] / qf[support]
+    out = (out / out.max()) ** kind.alpha
+    return -out / float(np.sum(out * qf))
+
+
+ZERO_MASS_KINDS = (KL, DivergenceKind.renyi(0.5), DivergenceKind.renyi(2.0), DivergenceKind.renyi(7.5))
+
+
+class TestSlopesAtZeroMass:
+    """A source symbol of zero mass gets slope 0 from the quotient 0 / q_j; no
+    flat-Dirichlet instance has one, so these cases put it there."""
+
+    @staticmethod
+    def problem(kind):
+        src = MixtureSource.from_masses(0.4, 0.6, [0.5, 0.5, 0.0], [0.2, 0.8, 0.0])
+        degrade = Channel.from_rows([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.2, 0.3, 0.5]])
+        delta = DistortionMatrix.hamming(src.alphabet)
+        return ProblemInstance(src, degrade, src.alphabet, delta, kind, DecisionRegion.from_indices(src.alphabet, [0]))
+
+    # An interior point, one pulled toward uniform for its steep slopes, and p_X's own support.
+    POINTS = ([0.3, 0.3, 0.4], [0.7, 0.0, 0.3], [0.45, 0.55, 0.0])
+
+    @pytest.mark.parametrize("kind", ZERO_MASS_KINDS, ids=lambda kind: f"{kind.name}{kind.alpha or ''}")
+    def test_slopes_cuts_and_lp_rows_match_the_masked_reference(self, kind, monkeypatch):
+        # KL's slope at the zero-mass symbol is -0.0 where the mask gave +0.0;
+        # the LP's matrix drops both, so the cut rows keep their bytes.
+        prob = self.problem(kind)
+        p = prob.p_x
+        assert p[2] == 0.0
+        for q in map(np.array, self.POINTS):
+            got, want = _divergence_gradient(kind, p, q), masked_slopes(kind, p, q)
+            assert np.array_equal(got, want) and got[2] == 0.0  # -0.0 == +0.0
+            assert got[:2].tobytes() == want[:2].tobytes()
+        got = [solver._tangent_cut(prob, np.array(q)) for q in self.POINTS]
+        monkeypatch.setattr(solver, "_divergence_gradient", masked_slopes)
+        want = [solver._tangent_cut(prob, np.array(q)) for q in self.POINTS]
+        for (slope, offset), (ref_slope, ref_offset) in zip(got, want):
+            assert np.array_equal(slope, ref_slope) and slope[2] == 0.0
+            assert slope[:2].tobytes() == ref_slope[:2].tobytes()
+            assert float(offset).hex() == float(ref_offset).hex()
+        cost = np.append(prob.objective_weights.ravel(), 0.0)
+        D = min_distortion(prob) + 0.1
+        models = [solver._lp_model(prob, cost, D, 0.05, tuple(map(np.array, zip(*cuts)))) for cuts in (got, want)]
+        assert [a.tobytes() for a in models[0]] == [a.tobytes() for a in models[1]]
 
 
 class TestSolveScdp:
@@ -862,6 +928,30 @@ class TestLpPaths:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_bindings_already_imported_are_reused(self):
+        # A program that imported scipy's HiGHS extension before cdptradeoff
+        # gets that same module as the solver's bindings, without a second
+        # load from the extension's file.
+        name = "scipy.optimize._highspy._core"
+        code = (
+            f"import importlib.util, sys, {name} as first\n"
+            "def refuse(*args):\n"
+            "    raise AssertionError('the HiGHS bindings were loaded again')\n"
+            "importlib.util.spec_from_file_location = refuse\n"
+            "from cdptradeoff import Channel, DecisionRegion, DistortionMatrix, DivergenceKind, MixtureSource\n"
+            "from cdptradeoff import ProblemInstance, solve_cdp, solver\n"
+            "src = MixtureSource.from_masses(0.5, 0.5, [0.8, 0.2], [0.2, 0.8])\n"
+            "prob = ProblemInstance(src, Channel.bsc(0.1), src.alphabet, DistortionMatrix.hamming(src.alphabet),\n"
+            "                       DivergenceKind.total_variation(), DecisionRegion.from_indices(src.alphabet, [0]))\n"
+            "r = solve_cdp(prob, 0.2, 0.3)\n"
+            "assert r.ok and r.certificate['method'] == 'lp'\n"
+            f"print(solver._highspy is first is sys.modules[{name!r}])\n"
+        )
+        src_dir = str(pathlib.Path(solver.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "True"
 
     def test_lp_models_agree_with_a_dense_linprog_replay(self, rng, monkeypatch):
         # The reference rebuilds each model as dense matrices and solves it

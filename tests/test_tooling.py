@@ -1,8 +1,9 @@
 """Tooling that reaches into the library from outside: the benchmark's traced
 runs, the source boundaries that keep the lattice oracle independent, the
 audit free of formula copies, masked sums in one place and the package free
-of memo caches, the LP size the solver's docstring states, and the README's
-quickstart, certificate and audit paragraphs."""
+of memo caches, the LP size the solver's docstring states, Python floats at
+the public boundary, and the README's quickstart, certificate and audit
+paragraphs."""
 
 import ast
 import importlib.util
@@ -13,13 +14,23 @@ import re
 import numpy as np
 
 from cdptradeoff import (
+    Alphabet,
     Channel,
     DecisionRegion,
     DistortionMatrix,
     DivergenceKind,
     MixtureSource,
     ProblemInstance,
+    ProbVector,
     audit,
+    bayes_error,
+    bayes_error_tv_form,
+    divergence,
+    error_rate,
+    expected_distortion,
+    min_distortion,
+    solve_cdp,
+    solve_scdp,
     solver,
 )
 
@@ -138,6 +149,41 @@ def test_solver_docstring_states_the_lp_size():
     prob = ProblemInstance(src, deg, src.alphabet, delta, DivergenceKind.total_variation(), cls)
     model = solver._lp_model(prob, prob.objective_weights, solver.min_distortion(prob) + 0.1, 0.1)
     assert (len(model.c), len(model.row_lower)) == (columns, rows)
+
+
+def test_public_numbers_are_python_floats():
+    # The array forms behind the public functions may return NumPy scalars;
+    # every number the public API hands out, finite or +inf, is a float.
+    a = Alphabet(2)
+    p, q, point = (ProbVector(a, m) for m in ([0.5, 0.5], [0.25, 0.75], [1.0, 0.0]))
+    kl, renyi = DivergenceKind.kullback_leibler(), DivergenceKind.renyi
+    kinds = (DivergenceKind.total_variation(), kl, DivergenceKind.hellinger(), renyi(0.5), renyi(2.0))
+    finite = [divergence(kind, p, q) for kind in kinds]
+    # Off the support: KL and Renyi above order 1 are +inf; below order 1, only disjoint supports are.
+    infinite = [divergence(kl, p, point), divergence(renyi(2.0), p, point)]
+    infinite.append(divergence(renyi(0.5), point, ProbVector(a, [0.0, 1.0])))
+    assert all(map(math.isfinite, finite)) and infinite == [math.inf] * 3
+    src = MixtureSource.from_masses(0.3, 0.7, [0.9, 0.1], [0.25, 0.75])
+    region = DecisionRegion.from_indices(a, [1])
+    numbers = [*finite, *infinite, error_rate(src, region), bayes_error(src), bayes_error_tv_form(src)]
+    delta = DistortionMatrix.hamming(a)
+    numbers.append(expected_distortion(src, Channel.bsc(0.1), Channel.identity(a), delta))
+    methods = []
+    for kind in (kinds[0], kl):
+        prob = ProblemInstance(src, Channel.bsc(0.1), a, delta, kind, region)
+        numbers.append(min_distortion(prob))
+        for solve in (solve_cdp, solve_scdp):
+            r = solve(prob, 0.3, 0.05)
+            numbers += [r.value, r.achieved_distortion, r.achieved_perception]
+            methods.append((r.status.value, r.certificate["method"], r.certificate["cuts"] > 0))
+    # An LP cell, a cut cell that made cuts, and a strong cell of each kind.
+    assert methods == [
+        ("Optimal", "lp", False),
+        ("Optimal", "regions", False),
+        ("Optimal", "cuts", True),
+        ("Optimal", "regions", False),
+    ]
+    assert [type(x) for x in numbers] == [float] * len(numbers)
 
 
 def test_readme_quickstart_runs(capsys):
