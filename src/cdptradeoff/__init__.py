@@ -50,12 +50,10 @@ from .prob_core import (
     mix_mixtures,
     push_forward,
 )
+from .problem import ProblemInstance, SolveStatus, min_distortion
 from .solver import (
-    ProblemInstance,
-    SolveStatus,
     SurfaceTable,
     TradeoffResult,
-    min_distortion,
     solve_cdp,
     solve_scdp,
     sweep_surface,

@@ -87,7 +87,8 @@ from .prob_core import (
     mix_mixtures,
     push_forward,
 )
-from .solver import ProblemInstance, min_distortion, sweep_surface
+from .problem import ProblemInstance, min_distortion
+from .solver import sweep_surface
 
 DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 42

@@ -46,7 +46,8 @@ from .classify import DecisionRegion, bayes_region
 from .errors import CdpError, ConfigError
 from .metrics import _KNOWN_KINDS, RENYI, DistortionMatrix, DivergenceKind
 from .prob_core import Alphabet, Channel, MixtureSource, _is_integer
-from .solver import ProblemInstance, check_grid, sweep_surface
+from .problem import ProblemInstance, check_grid
+from .solver import sweep_surface
 
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
@@ -239,12 +240,12 @@ def build_instance(raw: dict) -> ProblemInstance:
 
 def load_config(path: str) -> RunConfig:
     """Read and validate a JSON config file into a runnable configuration."""
+    # JSON text is UTF-8 (RFC 8259), so bytes that do not decode are invalid JSON.
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError("config", f"invalid JSON: {err}") from None
+        try:
+            raw = json.loads(fh.read())
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise ConfigError("config", f"invalid JSON: {err}") from None
     instance = build_instance(raw)
     d_grid = _get(raw, "", "d_grid", _as_grid)
     p_grid = _get(raw, "", "p_grid", _as_grid)

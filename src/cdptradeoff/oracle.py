@@ -37,7 +37,8 @@ restored symbol at a time, over symbol-major tables, because NumPy broadcasts
 against and reduces a short last axis one row at a time: a loop over the few
 symbol columns, each step vectorized over the block's kernels, is several
 times faster.  None of this reuses the solver's optimization paths, so a bug
-there cannot hide here.
+there cannot hide here: the oracle takes the problem from :mod:`.problem` and
+imports nothing from :mod:`.solver`.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import numpy as np
 from .errors import SizeError
 from .metrics import HELLINGER, KULLBACK_LEIBLER, TOTAL_VARIATION, DivergenceKind
 from .prob_core import Channel, _is_integer
-from .solver import ProblemInstance, SolveStatus
+from .problem import ProblemInstance, SolveStatus
 
 # Hard ceiling on lattice kernels examined by one grid search.
 GRID_KERNEL_CAP = 10_000_000

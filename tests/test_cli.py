@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import cdptradeoff
-from cdptradeoff import Channel, DivergenceKind, error_rate, push_forward
+from cdptradeoff import Channel, DivergenceKind, error_rate, push_forward, solve_scdp
 from cdptradeoff.cli import (
     EXIT_AUDIT_FAIL,
     EXIT_CONFIG,
@@ -83,6 +83,20 @@ class TestConfigParsing:
         cfg = load_config(write_config(tmp_path, {"divergence": {"name": "total_variation", "alpha": "x"}}))
         assert cfg.instance.divergence == DivergenceKind.total_variation()
 
+    @pytest.mark.parametrize("divergence", ["total_variation", "kullback_leibler"])
+    @pytest.mark.parametrize("prior1", [0, 1])
+    def test_a_one_class_source_builds_and_sweeps_to_zero_error(self, tmp_path, prior1, divergence):
+        # prior1 may be 0 or 1: the source is then one class, which is never
+        # misclassified by the Bayes classifier of any restoration.
+        overrides = {"source": {"prior1": prior1}, "divergence": {"name": divergence}}
+        cfg = write_config(tmp_path, overrides)
+        prob = build_instance(json.loads(pathlib.Path(cfg).read_text()))
+        assert (prob.source.prior1, prob.source.prior2) == (prior1, 1 - prior1)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "surface.csv")]) == EXIT_OK
+        cells = [solve_scdp(prob, d, p) for d in (0.1, 0.2, math.inf) for p in (0.0, 0.1, math.inf)]
+        # Every cell but D = min distortion (0.1) with P = 0 is feasible.
+        assert [cell.value for cell in cells if cell.ok] == [0.0] * 8
+
     def test_build_instance_rejects_missing_field(self):
         with pytest.raises(Exception) as err:
             build_instance({"source": {"prior1": 0.5, "class1": [1.0, 0.0]}})
@@ -97,6 +111,14 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: config: invalid JSON: 'utf-8' codec can't decode byte 0xff")
 
     def test_broken_channel_rows_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"degrade": {"type": "rows", "rows": [[0.9, 0.2], [0.1, 0.9]]}})

@@ -1,9 +1,9 @@
 """Tooling that reaches into the library from outside: the benchmark's traced
-runs, the source boundaries that keep the lattice oracle independent, the
-audit free of formula copies, masked sums in one place and the package free
-of memo caches, the LP size the solver's docstring states, Python floats at
-the public boundary, and the README's quickstart, certificate and audit
-paragraphs."""
+runs, the source boundaries that keep the lattice oracle and the problem
+apart from the solver, the audit free of formula copies, masked sums in one
+place and the package free of memo caches, the LP size the solver's
+docstring states, Python floats at the public boundary, and the README's
+quickstart, certificate and audit paragraphs."""
 
 import ast
 import importlib.util
@@ -64,22 +64,41 @@ def test_traced_benchmark_hooks_exist_in_solver(canonical_problem):
     assert math.isfinite(tracer.root_ms()[0][1])
 
 
-def test_oracle_imports_no_solver_or_metrics_code():
-    # The oracle is the reference the solver is checked against, so it may take
-    # the problem's types from the solver but none of its computations.
-    imported = {}
-    for node in ast.walk(ast.parse(ORACLE.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
+def _imports(path: pathlib.Path) -> tuple:
+    """(package module -> names taken from it, other modules imported) of one
+    source file; ``from . import m`` counts as taking nothing from ``m``."""
+    package, other = {}, set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            for alias in node.names:
+                package.setdefault(alias.name, set())
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            package.setdefault(node.module, set()).update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            # Package modules are imported relatively, so these checks see them all.
-            assert not (node.module or "").startswith("cdptradeoff")
+            other.add(node.module or "")
         elif isinstance(node, ast.Import):
-            assert not any(alias.name.startswith("cdptradeoff") for alias in node.names)
-    assert imported.get("solver", set()) <= {"ProblemInstance", "SolveStatus"}
+            other.update(alias.name for alias in node.names)
+    # Package modules are imported relatively, so the checks below see them all.
+    assert not {name for name in other if name.split(".")[0] == "cdptradeoff"}
+    return package, other
+
+
+def test_oracle_imports_no_solver_or_metrics_code():
+    # The oracle is the reference the solver is checked against, so it takes
+    # the problem from problem.py and nothing from the solver.
+    imported, _ = _imports(ORACLE)
+    assert "solver" not in imported
     from_metrics = imported.get("metrics", set())
     assert not {name for name in from_metrics if name.startswith("_")}
     assert not from_metrics & {"divergence", "expected_distortion"}
+
+
+def test_problem_imports_no_solver_oracle_audit_cli_or_scipy():
+    # problem.py is what the solver and the oracle share, so it depends on
+    # neither of them, nor on what is built on them, nor on the LP solver.
+    imported, other = _imports(PACKAGE / "problem.py")
+    assert not imported.keys() & {"solver", "oracle", "audit", "cli"}
+    assert not {name for name in other if name.split(".")[0] == "scipy"}
 
 
 def test_no_library_function_is_memoized_across_calls():
@@ -118,18 +137,18 @@ def test_masked_sums_go_through_masked_sum_only():
     # ``prob_core._masked_sum`` adds a row's selected entries with zeros in
     # place of the rest, so a row of a stack sums as it does alone.  A sum over
     # a gather, ``values[mask]``, adds them in another order from 8 entries
-    # on, so no module that computes the paper's quantities sums an array
-    # indexed by anything other than slices and constants.  The lattice oracle
-    # is the independent reference and keeps its own sums.
+    # on, so no module of the package sums an array indexed by anything other
+    # than slices and constants.  The lattice oracle is the independent
+    # reference and keeps its own sums.
     gathers = []
-    for name in ("classify.py", "metrics.py", "prob_core.py", "solver.py"):
-        for call in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))):
+    for path in sorted(set(PACKAGE.glob("*.py")) - {ORACLE}):
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not (isinstance(call, ast.Call) and re.search(r"(\badd\.reduce|\bsum)$", ast.unparse(call.func))):
                 continue
             summed = [*call.args, *(k.value for k in call.keywords), call.func]
             subscripts = [sub for node in summed for sub in ast.walk(node) if isinstance(sub, ast.Subscript)]
             if not all(_index_is_literal(sub.slice) for sub in subscripts):
-                gathers.append(f"{name}:{call.lineno} {ast.unparse(call)}")
+                gathers.append(f"{path.name}:{call.lineno} {ast.unparse(call)}")
     assert not gathers
 
 
