@@ -11,11 +11,11 @@ minimizations commute, so the strong surface is the fixed-classifier program
 minimized over the 2^|Xhat| regions: exact under total variation and
 certified to a duality gap under the smooth divergences.
 
-Every linear program goes to HiGHS through the bindings scipy bundles
-(``scipy.optimize._highspy._core``), loaded without the rest of
-``scipy.optimize``, with presolve off because the programs are tiny
-(without cuts, at most 72 columns and 18 rows on alphabets of up to 8
-symbols) and presolve costs more than it saves.
+Every linear program goes through one function, ``solver.linprog``, to
+HiGHS over the bindings scipy bundles (``scipy.optimize._highspy._core``),
+loaded without the rest of ``scipy.optimize``, with presolve off because the
+programs are tiny (without cuts, at most 72 columns and 18 rows on alphabets
+of up to 8 symbols) and presolve costs more than it saves.
 
 Solvers are pure functions of their inputs: each thread solves its LPs on
 one HiGHS instance, built on the thread's first LP and cleared before every
@@ -106,15 +106,6 @@ def _load_highs():
 _highspy = _load_highs()
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first use.  The solver never
-    calls it: every LP goes to ``_Engine.run``.  The name stays because
-    ``perfbench/spans.py`` wraps it in traced benchmark runs."""
-    from scipy.optimize import linprog as scipy_linprog
-
-    return scipy_linprog(*args, **kwargs)
-
-
 _SHARED_KEYS = ("method", "iterations", "lp_solves", "cuts", "duality_gap", "violated", "notes")
 
 
@@ -153,11 +144,10 @@ class Certificate(Mapping):
     def __len__(self) -> int:
         return len(_SHARED_KEYS) + len(self._own)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *_):
         raise AttributeError("a certificate is read-only")
 
-    def __delattr__(self, name):
-        raise AttributeError("a certificate is read-only")
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
@@ -317,60 +307,63 @@ def _lp_model(
     return _LpModel(c, np.zeros(n_cols), col_upper, row_lower, row_upper, start, row.astype(np.int32), A[row, col])
 
 
-# The calling thread's HiGHS instance, as ``highs``, once the thread has
-# solved an LP (see ``_Engine.run``).
+# The calling thread's HiGHS instance, as ``highs``, built on the thread's
+# first LP (see ``linprog``); a thread that solves no LP builds none.
 _local = threading.local()
 
 
-class _Engine:
-    """The work counters of one public solve, which are its certificate's.
+def linprog(model: _LpModel) -> tuple:
+    """(x of ``model``, or None when it is infeasible; the simplex plus
+    interior-point iterations), on the calling thread's HiGHS instance.  Each
+    attempt starts from a cleared model and sets its own options: the
+    simplex, then, if it stalls, interior point at the looser tolerances."""
+    highs = getattr(_local, "highs", None)
+    if highs is None:
+        highs = _local.highs = _highspy._Highs()
+        highs.setOptionValue("output_flag", False)
+        highs.setOptionValue("presolve", "off")
+    iterations, n_col = 0, len(model.c)
+    for solver, tolerances in (("choose", _HIGHS_OPTIONS), ("ipm", _HIGHS_FALLBACK)):
+        highs.clearModel()
+        for name, val in {"solver": solver, **tolerances}.items():
+            highs.setOptionValue(name, val)
+        status = highs.passModel(
+            n_col,
+            len(model.row_lower),
+            len(model.value),
+            _highspy.MatrixFormat.kColwise,
+            _highspy.ObjSense.kMinimize,
+            0.0,
+            *model,
+            np.zeros(n_col, np.int32),  # every column continuous; an empty array is an error
+        )
+        # A warning reports matrix entries of size at most 1e-9, which HiGHS drops.
+        if status == _highspy.HighsStatus.kError:
+            raise RuntimeError("HiGHS rejected the linear program")
+        highs.run()
+        for name in ("simplex_iteration_count", "ipm_iteration_count"):
+            iterations += max(int(highs.getInfoValue(name)[1]), 0)
+        status = highs.getModelStatus()
+        if status == _highspy.HighsModelStatus.kOptimal:
+            return np.array(highs.getSolution().col_value), iterations
+        if status == _highspy.HighsModelStatus.kInfeasible:
+            return None, iterations
+    raise RuntimeError(f"linear program failed unexpectedly ({highs.modelStatusToString(status)})")
 
-    ``solve_cdp`` and ``solve_scdp`` each make one and drop it on return.  Its
-    LPs go to the calling thread's HiGHS instance, which the thread's first LP
-    builds and which lives as long as the thread; a thread that solves no LP
-    builds none.
-    """
+
+class _Engine:
+    """The work counters of one public solve, which are its certificate's:
+    ``solve_cdp`` and ``solve_scdp`` each make one and drop it on return."""
 
     def __init__(self):
         self.lp_solves, self.iterations, self.cuts = 0, 0, 0
 
     def run(self, model: _LpModel) -> Optional[np.ndarray]:
-        """x of ``model``, or None when it is infeasible.  Each attempt starts
-        from a cleared model and sets its own options: the simplex, then, if it
-        stalls, interior point at the looser tolerances."""
-        highs = getattr(_local, "highs", None)
-        if highs is None:
-            highs = _local.highs = _highspy._Highs()
-            highs.setOptionValue("output_flag", False)
-            highs.setOptionValue("presolve", "off")
+        """x of ``model`` through ``linprog``, or None when it is infeasible, counted."""
+        x, iterations = linprog(model)
         self.lp_solves += 1
-        n_col = len(model.c)
-        for solver, tolerances in (("choose", _HIGHS_OPTIONS), ("ipm", _HIGHS_FALLBACK)):
-            highs.clearModel()
-            for name, val in {"solver": solver, **tolerances}.items():
-                highs.setOptionValue(name, val)
-            status = highs.passModel(
-                n_col,
-                len(model.row_lower),
-                len(model.value),
-                _highspy.MatrixFormat.kColwise,
-                _highspy.ObjSense.kMinimize,
-                0.0,
-                *model,
-                np.zeros(n_col, np.int32),  # every column continuous; an empty array is an error
-            )
-            # A warning reports matrix entries of size at most 1e-9, which HiGHS drops.
-            if status == _highspy.HighsStatus.kError:
-                raise RuntimeError("HiGHS rejected the linear program")
-            highs.run()
-            for name in ("simplex_iteration_count", "ipm_iteration_count"):
-                self.iterations += max(int(highs.getInfoValue(name)[1]), 0)
-            status = highs.getModelStatus()
-            if status == _highspy.HighsModelStatus.kOptimal:
-                return np.array(highs.getSolution().col_value)
-            if status == _highspy.HighsModelStatus.kInfeasible:
-                return None
-        raise RuntimeError(f"linear program failed unexpectedly ({highs.modelStatusToString(status)})")
+        self.iterations += iterations
+        return x
 
     def kernel(
         self, prob: ProblemInstance, cost: np.ndarray, dist_budget: float, perc_budget: float, cuts: Sequence = ()
@@ -492,11 +485,13 @@ def _cut_minimize(
             return _outcome(engine, SolveStatus.ITERATION_LIMIT, None, "cuts", notes, anchor=None)
     q_anchor = anchor.T @ p_y
     best, upper = anchor, float(np.sum(cost * anchor))
-    # A cost of GENERAL_GAP_TOL / (10 P) on t picks, among LP optima, the one
-    # the cuts rate least divergent, so a whole face of optima does not leave
-    # the rounds creeping toward the budget; the bound drops by at most a tenth.
-    lp_cost = np.append(cost.ravel(), 0.1 * GENERAL_GAP_TOL / perc_budget)
+    # A cost of GENERAL_GAP_TOL / (10 P) on t, at most 1 (the cost entries' top;
+    # far more stalls HiGHS at a tiny P), picks, among LP optima, the one the
+    # cuts rate least divergent, so a whole face of optima does not leave the
+    # rounds creeping toward the budget; the bound drops by at most a tenth.
+    lp_cost = np.append(cost.ravel(), min(0.1 * GENERAL_GAP_TOL / perc_budget, 1.0))
     notes = "LP plus tangent cuts of the divergence"
+    uncut = () if anchor_kind == "epigraph" else (q,)  # the epigraph rounds cut at q
 
     for _ in range(CUT_ROUNDS):
         # Bisect for the first point from K toward the anchor inside the budget.
@@ -508,20 +503,23 @@ def _cut_minimize(
             else:
                 lo = mid
         boundary = (1.0 - hi) * K + hi * anchor
-        if float(np.sum(cost * boundary)) < upper:
-            best, upper = boundary, float(np.sum(cost * boundary))
+        value = float(np.sum(cost * boundary))
+        if value < upper:
+            best, upper = boundary, value
         if upper - lower <= GENERAL_GAP_TOL:
             break
-        engine.add_cuts(prob, cuts, q, boundary.T @ p_y)
+        engine.add_cuts(prob, cuts, *uncut, boundary.T @ p_y)
         x, K = engine.kernel(prob, lp_cost, dist_budget, perc_budget, cuts)
         if K is None:
             # The anchor meets every cut, so only a solver fault gets here.
             notes += "; a cut LP after the anchor was reported infeasible"
             break
         q = K.T @ p_y
-        lower = max(lower, float(np.sum(cost * K) + lp_cost[-1] * (x[-1] - perc_budget)))
+        uncut = (q,)
+        value = float(np.sum(cost * K))
+        lower = max(lower, float(value + lp_cost[-1] * (x[-1] - perc_budget)))
         if div(q) <= perc_budget:
-            best, upper = K, float(np.sum(cost * K))
+            best, upper = K, value
             break
     gap = max(upper - lower, 0.0)
     status = SolveStatus.OPTIMAL if gap <= GENERAL_GAP_TOL else SolveStatus.ITERATION_LIMIT

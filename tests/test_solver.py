@@ -515,6 +515,49 @@ class TestCutExits:
         slack = want.certificate["duality_gap"] + 1e-12
         assert got.value - gap - 1e-12 <= want.value <= got.value + slack
 
+    def test_no_lp_holds_a_cut_twice(self, rng, monkeypatch):
+        # The epigraph rounds cut at the first LP's marginal, so the first
+        # round after an epigraph anchor cuts only at its boundary point.
+        cut_rows, lp_model = [], solver._lp_model
+
+        def recorded(prob, cost, dist_budget, perc_budget, cuts=None):
+            if cuts is not None:
+                cut_rows.append(np.column_stack(cuts))
+            return lp_model(prob, cost, dist_budget, perc_budget, cuts)
+
+        monkeypatch.setattr(solver, "_lp_model", recorded)
+        exits = {cut_exit(solve_cdp(*cell)) for cell in smooth_cells(rng)}
+        assert exits == {"infeasible", "epigraph", "pinned", "inactive"}
+        assert cut_rows and all(len(np.unique(rows, axis=0)) == len(rows) for rows in cut_rows)
+
+    def test_tiny_perception_budgets_return(self):
+        # The epigraph column's cost, GENERAL_GAP_TOL / (10 P), reached 1e13 at
+        # P = 1e-20 and left HiGHS running for minutes in the first cut LP after
+        # the anchor; capped at 1, every one of these cells returns in well
+        # under a second, and keeps the result contract.
+        code = (
+            "import json, math\n"
+            "import numpy as np\n"
+            "from cdptradeoff import DivergenceKind, audit, min_distortion, solve_cdp, solve_scdp\n"
+            "for kind in (DivergenceKind.kullback_leibler(), DivergenceKind.hellinger(), DivergenceKind.renyi(2.0)):\n"
+            "    prob = audit.random_instance(np.random.default_rng(3), kind)\n"
+            "    for D in (min_distortion(prob) + 0.2, math.inf):\n"
+            "        for P in (1e-20, 5e-324):\n"
+            "            for r in (solve_cdp(prob, D, P), solve_scdp(prob, D, P)):\n"
+            "                gap = r.certificate['duality_gap']\n"
+            "                print(json.dumps([D, P, r.status.value, gap, r.achieved_distortion, r.achieved_perception]))\n"
+        )
+        src_dir = str(pathlib.Path(solver.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=60)
+        rows = [json.loads(line) for line in out.stdout.splitlines()]
+        assert len(rows) == 24
+        for D, P, status, gap, achieved_d, achieved_p in rows:
+            assert status in ("Optimal", "IterationLimit")
+            if status == "Optimal":
+                assert gap <= GENERAL_GAP_TOL
+            assert achieved_d <= D + BUDGET_SLACK and achieved_p <= P + BUDGET_SLACK
+
 
 def masked_slopes(kind, p, q):
     """The smooth slopes with their p_j = 0 entries zeroed by a support mask
@@ -960,7 +1003,7 @@ class TestLpPaths:
         from scipy.optimize import linprog
 
         cells = self.cells(rng)
-        models, calls = [], []
+        models = []
 
         def recorded(*args, **kwargs):
             models.append(lp_model(*args, **kwargs))
@@ -968,9 +1011,7 @@ class TestLpPaths:
 
         lp_model = solver._lp_model
         monkeypatch.setattr(solver, "_lp_model", recorded)
-        monkeypatch.setattr(solver, "linprog", lambda *args, **kwargs: calls.append(1))
         results = [(solve_cdp(*c), solve_scdp(*c)) for c in cells]
-        assert not calls
         violated, exits = set(), set()
         for (prob, D, P), pair in zip(cells, results):
             if prob.divergence != TV:

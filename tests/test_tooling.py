@@ -1,9 +1,10 @@
 """Tooling that reaches into the library from outside: the benchmark's traced
 runs, the source boundaries that keep the lattice oracle and the problem
-apart from the solver, the audit free of formula copies, masked sums in one
-place and the package free of memo caches, the LP size the solver's
-docstring states, Python floats at the public boundary, and the README's
-quickstart, certificate and audit paragraphs."""
+apart from the solver and the package free of ``scipy.optimize`` imports,
+the audit free of formula copies, masked sums in one place and the package
+free of memo caches, the LP size the solver's docstring states, Python
+floats at the public boundary, and the README's quickstart, certificate and
+audit paragraphs."""
 
 import ast
 import importlib.util
@@ -51,17 +52,42 @@ def load_spans():
 
 def test_traced_benchmark_hooks_exist_in_solver(canonical_problem):
     # ``perfbench/run.py --trace 1`` wraps each of these names where
-    # cdptradeoff.solver binds them, and crashes if one is gone.
+    # cdptradeoff.solver binds them, and crashes if one is gone.  Each one
+    # records work over an LP cell and a strong cell, and ``linprog`` records
+    # every LP the certificates count.
     spans = load_spans()
     missing = [name for name in spans.WRAPPED if not hasattr(solver, name)]
     assert not missing
     tracer = spans.Tracer()
     originals = {name: getattr(solver, name) for name in spans.WRAPPED}
     with tracer.installed():
-        tracer.op(0, "cdp", lambda: solver.solve_cdp(canonical_problem(), 0.3, 0.2))
+        cdp = tracer.op(0, "cdp", lambda: solver.solve_cdp(canonical_problem(), 0.3, 0.2))
+        scdp = tracer.op(1, "scdp", lambda: solver.solve_scdp(canonical_problem(), 0.3, 0.2))
     assert {name: getattr(solver, name) for name in spans.WRAPPED} == originals
-    assert tracer.root_ms()[0][0] > 0.0
-    assert math.isfinite(tracer.root_ms()[0][1])
+    assert [cdp.certificate["method"], scdp.certificate["method"]] == ["lp", "regions"]
+    for op in (0, 1):
+        assert tracer.root_ms()[op][0] > 0.0
+        assert math.isfinite(tracer.root_ms()[op][1])
+    calls = {name: count for name, (_, count) in tracer.ms_by_name().items()}
+    assert all(calls.get(name, 0) > 0 for name in spans.WRAPPED), calls
+    assert calls["linprog"] == cdp.certificate["lp_solves"] + scdp.certificate["lp_solves"]
+
+
+def test_no_module_imports_scipy_optimize():
+    # Every LP goes through ``solver.linprog`` to the HiGHS bindings, which
+    # ``_load_highs`` loads from their file and names only as a string, so no
+    # module of the package imports from ``scipy.optimize``.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if f"{name}.".startswith("scipy.optimize.")]
+    assert not found
 
 
 def _imports(path: pathlib.Path) -> tuple:
