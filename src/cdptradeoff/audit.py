@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -113,14 +113,7 @@ class PropertyResult:
     detail: str
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "trials": int(self.trials),
-            "worst": float(self.worst),
-            "tolerance": float(self.tolerance),
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -133,11 +126,7 @@ class AuditReport:
         return all(r.passed for r in self.results)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": int(self.seed),
-            "passed": bool(self.passed),
-            "results": [r.to_dict() for r in self.results],
-        }
+        return {"seed": int(self.seed), "passed": self.passed, "results": [r.to_dict() for r in self.results]}
 
 
 # ---------------------------------------------------------------------------

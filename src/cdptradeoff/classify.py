@@ -158,8 +158,9 @@ def bayes_error_tv_form(src: MixtureSource) -> float:
 
 
 def _weighted(prior, mass: np.ndarray) -> np.ndarray:
-    """``prior * mass`` for one prior, or for one prior per row along the last axis."""
-    return prior * mass if isinstance(prior, float) else prior[..., None] * mass
+    """``prior * mass`` for one prior, or for one prior per row along the last
+    axis; a lone prior broadcasts as a length-1 axis, with the same products."""
+    return np.asarray(prior)[..., None] * mass
 
 
 def _bayes_error_arrays(prior1, prior2, class1: np.ndarray, class2: np.ndarray):

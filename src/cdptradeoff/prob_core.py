@@ -57,10 +57,9 @@ def _clean_mass(values, shape: tuple, what: str) -> np.ndarray:
     its first bad row, ``{what} row {i}``.  Rows are made C-contiguous, so
     each row's sum is the same pairwise sum a lone vector of that row gets.
 
-    The clip to zero is skipped only when the smallest entry is strictly
-    positive: ``np.maximum`` turns ``-0.0`` into ``+0.0``, so input holding a
-    zero of either sign is clipped as before.  The result is always a fresh
-    read-only array, ``clipped / totals``, sharing no memory with the input.
+    The clip to zero runs on every input, so a ``-0.0`` entry comes back
+    ``+0.0``.  The result is always a fresh read-only array,
+    ``clipped / totals``, sharing no memory with the input.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != shape:
@@ -69,7 +68,7 @@ def _clean_mass(values, shape: tuple, what: str) -> np.ndarray:
     if not arr.flags.c_contiguous:
         arr = np.ascontiguousarray(arr)
     low = float(np.minimum.reduce(arr, axis=None))
-    clipped = arr if low > 0.0 else np.maximum(arr, 0.0)
+    clipped = np.maximum(arr, 0.0)
     totals = np.add.reduce(clipped, axis=-1, keepdims=True)
     if not (
         low >= -NEGATIVE_TOLERANCE

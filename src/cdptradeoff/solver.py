@@ -186,14 +186,9 @@ class SurfaceTable:
     cells: tuple  # tuple of tuples of TradeoffResult
 
     def value_matrix(self) -> np.ndarray:
-        """Values as a float matrix with NaN at ``Infeasible`` cells; an
-        ``IterationLimit`` cell keeps its value, NaN only when it has no kernel."""
-        out = np.full((len(self.d_grid), len(self.p_grid)), np.nan)
-        for i, row in enumerate(self.cells):
-            for j, cell in enumerate(row):
-                if cell.status is not SolveStatus.INFEASIBLE:
-                    out[i, j] = cell.value
-        return out
+        """Each cell's ``value`` as a float matrix: NaN where a cell has no
+        kernel, as every ``Infeasible`` cell and some ``IterationLimit`` ones."""
+        return np.array([[cell.value for cell in row] for row in self.cells], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +353,6 @@ class _Engine:
     def __init__(self):
         self.lp_solves, self.iterations, self.cuts = 0, 0, 0
 
-    def run(self, model: _LpModel) -> Optional[np.ndarray]:
-        """x of ``model`` through ``linprog``, or None when it is infeasible, counted."""
-        x, iterations = linprog(model)
-        self.lp_solves += 1
-        self.iterations += iterations
-        return x
-
     def kernel(
         self, prob: ProblemInstance, cost: np.ndarray, dist_budget: float, perc_budget: float, cuts: Sequence = ()
     ) -> tuple:
@@ -372,7 +360,9 @@ class _Engine:
         rows: (x, the kernel cut out of x with solver dust clipped off and rows
         renormalized); both are None when the LP is infeasible."""
         arrays = tuple(map(np.array, zip(*cuts))) if cuts else None
-        x = self.run(_lp_model(prob, cost, dist_budget, perc_budget, arrays))
+        x, iterations = linprog(_lp_model(prob, cost, dist_budget, perc_budget, arrays))
+        self.lp_solves += 1
+        self.iterations += iterations
         if x is None:
             return None, None
         ny, nxh = prob.kernel_shape

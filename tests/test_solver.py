@@ -847,12 +847,53 @@ class TestSweepSurface:
         with pytest.raises(ValueError):
             sweep_surface(prob, [0.1], [0.1], "nope")
 
-    def test_infeasible_cells_marked_not_raised(self, canonical_problem):
+    def test_infeasible_cells_marked_not_raised(self, canonical_problem, monkeypatch):
         table = sweep_surface(canonical_problem(), [0.05, 0.2], [0.1], "cdp")
         assert table.cells[0][0].status is SolveStatus.INFEASIBLE
         assert table.cells[1][0].status is SolveStatus.OPTIMAL
         vm = table.value_matrix()
         assert math.isnan(vm[0, 0]) and not math.isnan(vm[1, 0])
+        # The matrix holds each cell's value, NaN exactly where the cell has no
+        # kernel: below the minimum distortion, where the total-variation LP is
+        # infeasible on the perception side, where a smooth cell's support or
+        # cuts prove no kernel meets both budgets, and where the cut rounds run
+        # out before an anchor.  An IterationLimit cell with a kernel keeps its value.
+        tv = audit.random_instance(np.random.default_rng(0), TV)
+        kl = audit.random_instance(np.random.default_rng(0), KL)
+        hellinger = audit.random_instance(np.random.default_rng(2), DivergenceKind.hellinger())
+        dt, dk, dh = (min_distortion(prob) for prob in (tv, kl, hellinger))
+        grids = [(tv, [0.5 * dt, dt, dt + 0.3], [0.0, 0.1]), (kl, [dk, dk + 0.01], [1e-4, 0.1])]
+        tables = [sweep_surface(prob, d, p, which) for prob, d, p in grids for which in ("cdp", "scdp")]
+        monkeypatch.setattr(solver, "CUT_ROUNDS", 1)
+        tables.append(sweep_surface(hellinger, [dh + 0.01, dh + 0.1], [0.01], "cdp"))
+        exits, kept = set(), set()
+        for table in tables:
+            vm = table.value_matrix()
+            assert vm.shape == (len(table.d_grid), len(table.p_grid)) and vm.dtype == np.float64
+            for i, row in enumerate(table.cells):
+                for j, cell in enumerate(row):
+                    if cell.kernel is None:
+                        assert math.isnan(vm[i, j])
+                        exits.add((cell.status, cell.certificate["method"], cell.certificate["notes"]))
+                    else:
+                        assert vm[i, j] == cell.value
+                        kept.add(cell.status)
+        assert exits == {
+            (SolveStatus.INFEASIBLE, "precheck", "distortion budget below min_distortion(prob)"),
+            (SolveStatus.INFEASIBLE, "lp", "no kernel meets the perception budget jointly with the distortion budget"),
+            (
+                SolveStatus.INFEASIBLE,
+                "cuts",
+                "every kernel at the minimum distortion misses the support the divergence needs",
+            ),
+            (
+                SolveStatus.INFEASIBLE,
+                "cuts",
+                "tangent cuts bound the divergence above the budget on every distortion-feasible kernel",
+            ),
+            (SolveStatus.ITERATION_LIMIT, "cuts", "no anchor inside the budget in 1 rounds"),
+        }
+        assert kept == {SolveStatus.OPTIMAL, SolveStatus.ITERATION_LIMIT}
 
     def test_canonical_grid_monotone_both_surfaces(self, canonical_problem):
         prob = canonical_problem()
@@ -1025,9 +1066,8 @@ class TestLpPaths:
         assert violated == {None, "distortion", "perception"}
         assert exits == {"infeasible", "epigraph", "pinned", "inactive"}
 
-        engine = solver._Engine()  # one instance, cleared between models
-        for model in models:
-            x = engine.run(model)
+        for model in models:  # on the thread's one HiGHS instance, cleared between models
+            x, _ = solver.linprog(model)
             A = np.zeros((len(model.row_lower), len(model.c)))
             A[model.index, np.repeat(np.arange(len(model.c)), np.diff(model.start))] = model.value
             eq = model.row_lower == model.row_upper
@@ -1179,6 +1219,22 @@ class TestLpPaths:
             if got.ok:
                 slack = got.certificate["duality_gap"] + want.certificate["duality_gap"]
                 assert abs(got.value - want.value) <= slack + 1e-9
+
+    def test_interior_point_retry_solves_a_real_lp(self, stalling_highs):
+        # Unscripted, the dual simplex stalls on one cut LP of this KL cell at
+        # a tiny perception budget; the interior-point retry solves it, and the
+        # cell is certified within both budgets.
+        prob = audit.random_instance(np.random.default_rng(3), KL)
+        D, P = min_distortion(prob) + 0.2, 1e-20
+        instances = stalling_highs(lambda attempt: False)
+        r = solve_cdp(prob, D, P)
+        [runs] = instances
+        assert [run["solver"] for run in runs].count("ipm") == 1
+        assert r.certificate["lp_solves"] == len(runs) - 1
+        assert r.status is SolveStatus.OPTIMAL
+        assert r.certificate["duality_gap"] <= GENERAL_GAP_TOL
+        assert r.achieved_distortion <= D + BUDGET_SLACK
+        assert r.achieved_perception <= P + BUDGET_SLACK
 
     def test_a_model_highs_rejects_raises(self, canonical_problem, scripted_highs):
         scripted_highs(passed=lambda run: solver._highspy.HighsStatus.kError)
